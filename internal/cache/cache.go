@@ -120,12 +120,9 @@ func (c *Cache) locate(l amo.Line) (set []way, tag uint64) {
 	return c.sets[l.SetIndex(c.nSets)], l.Tag(c.setBits)
 }
 
-// Lookup probes for the line without updating statistics or LRU state,
-// which is what makes it safe on the run-ahead lane path
-// (//ebcp:lanelocal, enforced by the lanepurity analyzer).
+// Lookup probes for the line without updating statistics or LRU state.
 //
 //ebcp:hotpath
-//ebcp:lanelocal
 func (c *Cache) Lookup(l amo.Line) bool {
 	set, tag := c.locate(l)
 	for i := range set {

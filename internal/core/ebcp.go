@@ -230,8 +230,7 @@ func (e *EBCP) Table() *corrtab.Table { return e.table }
 // instead of an empty table. The restored table's serialized geometry
 // (entries, addresses per entry) must match this prefetcher's
 // configuration; a mismatch returns an error wrapping ErrInvalidConfig
-// and leaves the current table in place. Structural parameters such as
-// the shard count are not part of the wire form and need not match.
+// and leaves the current table in place.
 func (e *EBCP) RestoreTable(t *corrtab.Table) error {
 	got, want := t.Config(), e.table.Config()
 	if got.Entries != want.Entries || got.MaxAddrs != want.MaxAddrs {

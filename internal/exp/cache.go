@@ -11,9 +11,8 @@
 // determines its result — the cell identity (runReq/cmpReq key, which
 // by contract uniquely describes benchmark × prefetcher × system
 // config), the full workload parameter struct, the resolved
-// warmup/measure windows, the trace truncation limit, the *content* of
-// any warm-start correlation table, and CacheCodeVersion — and nothing
-// that doesn't (worker counts, progress callbacks, file paths). Two
+// warmup/measure windows, the trace truncation limit and the *content*
+// of any warm-start correlation table — and nothing that doesn't (worker counts, progress callbacks, file paths). Two
 // sessions built from different Options structs that resolve to the
 // same semantics therefore share cells, and any semantic difference
 // keeps them apart. cachekey_test.go enforces both directions field by
@@ -29,18 +28,9 @@ import (
 	"reflect"
 
 	"ebcp/internal/ebcperr"
-	"ebcp/internal/metrics"
 	"ebcp/internal/sim"
 	"ebcp/internal/workload"
 )
-
-// CacheCodeVersion stamps every shared-cache key with the semantic
-// version of the simulator. Bump the leading counter whenever a change
-// alters what any cell computes (model behavior, workload generation,
-// default configuration); the report schema rides along so schema
-// revisions also invalidate stored results. Stale entries then miss
-// instead of serving results from older code.
-const CacheCodeVersion = "ebcp-code/1+" + metrics.SchemaV1
 
 // Cache is the contract a process-wide shared result store implements
 // (internal/serve.Cache is the production one). Do returns the value
@@ -56,7 +46,7 @@ type Cache interface {
 
 // CellKey returns the canonical content-hash cache key of one cell: the
 // digest of the options' semantic fields (resolved windows, trace
-// limit, warm-start table content, code version), the cell kind ("sim"
+// limit, warm-start table content), the cell kind ("sim"
 // or "cmp"), the cell identity string, and the cell's full workload
 // parameter struct. Reading the warm-start table can fail; the error is
 // ErrInvalidConfig-classified like every other bad-input failure.
@@ -78,8 +68,8 @@ func sealCellKey(seed, kind, cell string, bench workload.Params) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cacheSeed builds the session-level part of every cell key: the code
-// version, the resolved windows (so a zero field and an explicit
+// cacheSeed builds the session-level part of every cell key: the
+// resolved windows (so a zero field and an explicit
 // default digest identically), the trace limit, the warm-start table
 // identified by content hash (so the same table at two paths shares
 // cells and an edited table does not), and the content hash of the
@@ -101,8 +91,8 @@ func (o Options) cacheSeed() (string, error) {
 		sum := sha256.Sum256([]byte(o.SpecJSON))
 		specSum = hex.EncodeToString(sum[:])
 	}
-	return fmt.Sprintf("%s|warm=%d|measure=%d|max=%d|corrtab=%s|spec=%s",
-		CacheCodeVersion, warm, measure, o.MaxInsts, corr, specSum), nil
+	return fmt.Sprintf("warm=%d|measure=%d|max=%d|corrtab=%s|spec=%s",
+		warm, measure, o.MaxInsts, corr, specSum), nil
 }
 
 // cellKey is CellKey with the expensive seed (it reads the warm-start

@@ -69,17 +69,8 @@ type Config struct {
 	WriteGBps float64
 	// LowPriorityBacklog bounds, in line-transfer units, how far the
 	// low-priority read backlog may run ahead of current time before new
-	// low-priority requests are dropped. The bound applies per shard.
+	// low-priority requests are dropped.
 	LowPriorityBacklog int
-	// Shards splits the interconnect into independently-cursored banks
-	// routed by line address (power of two; 0 or 1 keeps the classic
-	// single bus). Sharding serves the CMP scale-out path: each shard
-	// keeps its own occupancy cursors so lanes banking to different
-	// shards do not serialize on one another, and Arbitrate() is the
-	// deterministic cross-shard barrier the CMP scheduler invokes at
-	// epoch ticks to re-impose the global strict-priority rule. With one
-	// shard, Read/Write/Arbitrate reproduce the original model exactly.
-	Shards int
 }
 
 // DefaultConfig is the paper's default memory system.
@@ -105,18 +96,7 @@ func (c Config) Validate() error {
 	if c.LowPriorityBacklog <= 0 {
 		return ebcperr.Invalidf("mem: low-priority backlog bound %d must be positive", c.LowPriorityBacklog)
 	}
-	if c.Shards < 0 || (c.Shards > 1 && c.Shards&(c.Shards-1) != 0) {
-		return ebcperr.Invalidf("mem: shard count %d must be a power of two", c.Shards)
-	}
 	return nil
-}
-
-// shardCount normalizes the configured shard count: 0 means one shard.
-func (c Config) shardCount() int {
-	if c.Shards <= 1 {
-		return 1
-	}
-	return c.Shards
 }
 
 // lineOccupancy returns the core cycles a 64B line holds a bus of the
@@ -168,27 +148,23 @@ func (s Stats) TotalDrops() uint64 {
 	return n
 }
 
-// System is the memory + interconnect model. Requests route to a shard by
-// line address; each shard keeps its own cursor cascade, and Arbitrate
-// re-imposes the cross-shard strict-priority rule at deterministic points
-// chosen by the caller.
+// System is the memory + interconnect model.
 type System struct {
-	cfg       Config
-	readOcc   uint64
-	writeOcc  uint64
-	shardMask uint64
+	cfg      Config
+	readOcc  uint64
+	writeOcc uint64
 
-	// Cascading read-bus cursors, one per priority class per shard: a
-	// class's requests serialize behind that class and everything above
-	// it, and push the cursors of the classes below (strict priority — a
-	// table read is never stuck behind queued prefetch data).
-	demandReadBusy   []uint64
-	tableReadBusy    []uint64
-	prefetchReadBusy []uint64
+	// Cascading read-bus cursors, one per priority class: a class's
+	// requests serialize behind that class and everything above it, and
+	// push the cursors of the classes below (strict priority — a table
+	// read is never stuck behind queued prefetch data).
+	demandReadBusy   uint64
+	tableReadBusy    uint64
+	prefetchReadBusy uint64
 	// Write-bus cursors, likewise (prefetch data does not use the write
 	// bus).
-	demandWriteBusy []uint64
-	tableWriteBusy  []uint64
+	demandWriteBusy uint64
+	tableWriteBusy  uint64
 
 	stats Stats
 }
@@ -199,17 +175,10 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.shardCount()
 	return &System{
-		cfg:              cfg,
-		readOcc:          lineOccupancy(cfg.ReadGBps, cfg.CoreGHz),
-		writeOcc:         lineOccupancy(cfg.WriteGBps, cfg.CoreGHz),
-		shardMask:        uint64(n - 1),
-		demandReadBusy:   make([]uint64, n),
-		tableReadBusy:    make([]uint64, n),
-		prefetchReadBusy: make([]uint64, n),
-		demandWriteBusy:  make([]uint64, n),
-		tableWriteBusy:   make([]uint64, n),
+		cfg:      cfg,
+		readOcc:  lineOccupancy(cfg.ReadGBps, cfg.CoreGHz),
+		writeOcc: lineOccupancy(cfg.WriteGBps, cfg.CoreGHz),
 	}, nil
 }
 
@@ -231,27 +200,22 @@ func (m *System) Stats() Stats { return m.stats }
 // cursors are preserved: in-flight traffic remains in flight.
 func (m *System) ResetStats() { m.stats = Stats{} }
 
-// shard maps a line address to its interconnect bank.
-func (m *System) shard(line amo.Line) int {
-	return int(uint64(line) & m.shardMask)
-}
-
 // Read requests the given line (64B) from memory at cycle now with the
 // given priority. It returns the completion cycle and whether the request
 // was accepted. Demand reads are always accepted; lower classes serialize
-// behind their own class and every class above within the line's shard,
-// and are dropped when their backlog bound is exceeded.
+// behind their own class and every class above, and are dropped when
+// their backlog bound is exceeded. Timing is address-independent: line
+// names the transfer but every line shares the one bus.
 func (m *System) Read(line amo.Line, now uint64, pri Priority) (completion uint64, accepted bool) {
 	cs := &m.stats.PerClass[pri]
-	sh := m.shard(line)
 	var cursor *uint64
 	switch pri {
 	case Demand:
-		cursor = &m.demandReadBusy[sh]
+		cursor = &m.demandReadBusy
 	case TableRead:
-		cursor = &m.tableReadBusy[sh]
+		cursor = &m.tableReadBusy
 	default: // PrefetchData (and any lower read class)
-		cursor = &m.prefetchReadBusy[sh]
+		cursor = &m.prefetchReadBusy
 	}
 	if pri != Demand {
 		backlog := int64(*cursor) - int64(now)
@@ -263,11 +227,11 @@ func (m *System) Read(line amo.Line, now uint64, pri Priority) (completion uint6
 	start := max64(now, *cursor)
 	*cursor = start + m.readOcc
 	// Push the cursors of the lower classes behind this reservation.
-	if m.tableReadBusy[sh] < m.demandReadBusy[sh] {
-		m.tableReadBusy[sh] = m.demandReadBusy[sh]
+	if m.tableReadBusy < m.demandReadBusy {
+		m.tableReadBusy = m.demandReadBusy
 	}
-	if m.prefetchReadBusy[sh] < m.tableReadBusy[sh] {
-		m.prefetchReadBusy[sh] = m.tableReadBusy[sh]
+	if m.prefetchReadBusy < m.tableReadBusy {
+		m.prefetchReadBusy = m.tableReadBusy
 	}
 	cs.Reads++
 	m.stats.ReadBusyCycles += m.readOcc
@@ -281,69 +245,35 @@ func (m *System) Read(line amo.Line, now uint64, pri Priority) (completion uint6
 // the update, which the correlation table tolerates).
 func (m *System) Write(line amo.Line, now uint64, pri Priority) (accepted bool) {
 	cs := &m.stats.PerClass[pri]
-	sh := m.shard(line)
 	if pri == Demand {
-		start := max64(now, m.demandWriteBusy[sh])
-		m.demandWriteBusy[sh] = start + m.writeOcc
-		if m.tableWriteBusy[sh] < m.demandWriteBusy[sh] {
-			m.tableWriteBusy[sh] = m.demandWriteBusy[sh]
+		start := max64(now, m.demandWriteBusy)
+		m.demandWriteBusy = start + m.writeOcc
+		if m.tableWriteBusy < m.demandWriteBusy {
+			m.tableWriteBusy = m.demandWriteBusy
 		}
 		cs.Writes++
 		m.stats.WriteBusyCycles += m.writeOcc
 		return true
 	}
-	backlog := int64(m.tableWriteBusy[sh]) - int64(now)
+	backlog := int64(m.tableWriteBusy) - int64(now)
 	if backlog > int64(m.cfg.LowPriorityBacklog)*int64(m.writeOcc) {
 		cs.WriteDrops++
 		return false
 	}
-	start := max64(now, m.tableWriteBusy[sh])
-	m.tableWriteBusy[sh] = start + m.writeOcc
+	start := max64(now, m.tableWriteBusy)
+	m.tableWriteBusy = start + m.writeOcc
 	cs.Writes++
 	m.stats.WriteBusyCycles += m.writeOcc
 	return true
 }
 
-// Arbitrate is the cross-shard arbitration barrier: it raises every
-// shard's lower-priority cursors behind the globally busiest demand
-// cursor, so low-priority traffic anywhere serializes behind demand
-// traffic everywhere — the same strict-priority rule a single bus
-// enforces continuously. Callers (the CMP scheduler) invoke it at
-// deterministic epoch ticks; with one shard it is a no-op, because
-// Read/Write already maintain the cascade within the shard.
-func (m *System) Arbitrate() {
-	if m.shardMask == 0 {
-		return
-	}
-	var r, w uint64
-	for sh := range m.demandReadBusy {
-		r = max64(r, m.demandReadBusy[sh])
-		w = max64(w, m.demandWriteBusy[sh])
-	}
-	for sh := range m.tableReadBusy {
-		if m.tableReadBusy[sh] < r {
-			m.tableReadBusy[sh] = r
-		}
-		if m.prefetchReadBusy[sh] < m.tableReadBusy[sh] {
-			m.prefetchReadBusy[sh] = m.tableReadBusy[sh]
-		}
-		if m.tableWriteBusy[sh] < w {
-			m.tableWriteBusy[sh] = w
-		}
-	}
-}
-
 // ReadBacklog returns how many cycles of read-bus work are queued ahead of
-// cycle now on the busiest shard (0 if every shard is idle).
+// cycle now (0 if the bus is idle).
 func (m *System) ReadBacklog(now uint64) uint64 {
-	var busy uint64
-	for _, b := range m.prefetchReadBusy {
-		busy = max64(busy, b)
-	}
-	if busy <= now {
+	if m.prefetchReadBusy <= now {
 		return 0
 	}
-	return busy - now
+	return m.prefetchReadBusy - now
 }
 
 func max64(a, b uint64) uint64 {

@@ -3,8 +3,6 @@ package mem
 import (
 	"testing"
 	"testing/quick"
-
-	"ebcp/internal/amo"
 )
 
 func defaultSystem() *System { return must(New(DefaultConfig())) }
@@ -184,8 +182,6 @@ func TestValidate(t *testing.T) {
 		{UnloadedLatency: 500, CoreGHz: 0, ReadGBps: 9.6, WriteGBps: 4.8, LowPriorityBacklog: 8},
 		{UnloadedLatency: 500, CoreGHz: 3, ReadGBps: 0, WriteGBps: 4.8, LowPriorityBacklog: 8},
 		{UnloadedLatency: 500, CoreGHz: 3, ReadGBps: 9.6, WriteGBps: 4.8, LowPriorityBacklog: 0},
-		{UnloadedLatency: 500, CoreGHz: 3, ReadGBps: 9.6, WriteGBps: 4.8, LowPriorityBacklog: 8, Shards: 3},
-		{UnloadedLatency: 500, CoreGHz: 3, ReadGBps: 9.6, WriteGBps: 4.8, LowPriorityBacklog: 8, Shards: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -238,71 +234,6 @@ func TestCascadePushesLowerCursors(t *testing.T) {
 	c2, _ := m.Read(0, 0, PrefetchData)
 	if c2 != 120+500 {
 		t.Errorf("prefetch after demand+table completes at %d, want 620", c2)
-	}
-}
-
-func shardedSystem(t *testing.T, shards int) *System {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Shards = shards
-	return must(New(cfg))
-}
-
-func TestShardedReadsDoNotSerialize(t *testing.T) {
-	// Lines routing to different shards reserve independent cursors, so
-	// concurrent demand reads to distinct shards all complete unloaded.
-	m := shardedSystem(t, 4)
-	for sh := uint64(0); sh < 4; sh++ {
-		c, ok := m.Read(amo.Line(sh), 0, Demand)
-		if !ok || c != 500 {
-			t.Errorf("shard %d: completion = %d ok=%v, want 500 (independent cursor)", sh, c, ok)
-		}
-	}
-	// Same shard still serializes.
-	c, _ := m.Read(0, 0, Demand)
-	if c != 520 {
-		t.Errorf("second read on shard 0 completes at %d, want 520", c)
-	}
-}
-
-func TestArbitrateRaisesLowerClassesGlobally(t *testing.T) {
-	m := shardedSystem(t, 2)
-	// A demand burst on shard 0 only.
-	for i := 0; i < 5; i++ {
-		m.Read(0, 0, Demand) // shard 0 demand cursor = 100
-	}
-	// Before the barrier, shard 1's low classes are unaffected.
-	if c, _ := m.Read(1, 0, TableRead); c != 500 {
-		t.Errorf("pre-barrier table read on idle shard completes at %d, want 500", c)
-	}
-	m.Arbitrate()
-	// After the barrier, shard 1's lower classes serialize behind shard
-	// 0's demand traffic (global strict priority).
-	if c, _ := m.Read(1, 0, TableRead); c < 100+500 {
-		t.Errorf("post-barrier table read completes at %d, want >= 600", c)
-	}
-	if c, _ := m.Read(1, 0, PrefetchData); c < 100+500 {
-		t.Errorf("post-barrier prefetch completes at %d, want >= 600", c)
-	}
-}
-
-func TestArbitrateNoOpSingleShard(t *testing.T) {
-	// With one shard Read/Write maintain the cascade invariant on their
-	// own; Arbitrate must change nothing (the golden-identity guarantee).
-	a, b := defaultSystem(), defaultSystem()
-	ops := func(m *System) {
-		m.Read(0, 0, Demand)
-		m.Read(0, 10, TableRead)
-		m.Write(0, 10, Demand)
-		m.Read(0, 20, PrefetchData)
-	}
-	ops(a)
-	ops(b)
-	b.Arbitrate()
-	ca, _ := a.Read(0, 30, TableRead)
-	cb, _ := b.Read(0, 30, TableRead)
-	if ca != cb {
-		t.Errorf("Arbitrate changed single-shard timing: %d vs %d", ca, cb)
 	}
 }
 

@@ -179,9 +179,8 @@ func (c *Context) Prefetch(now uint64, line amo.Line, tableIndex int64) bool {
 }
 
 // TableRead issues a correlation-table read at cycle now and returns its
-// completion time. Dropped reads return ok=false (backlog full). The
-// entry index routes the request to the memory shard holding that part
-// of the table.
+// completion time. Dropped reads return ok=false (backlog full). entry
+// is the table entry index the read transfers.
 //
 //ebcp:hotpath
 func (c *Context) TableRead(now uint64, entry uint64) (completion uint64, ok bool) {

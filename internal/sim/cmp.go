@@ -99,18 +99,114 @@ func (r CMPResult) Speedup(baseline CMPResult) float64 {
 }
 
 // RunCMP simulates cores running the given traces (one per hardware
-// thread) on a shared-L2 machine with a shared prefetcher. Shared-state
-// events are ordered lowest-local-clock first (ties to the lowest lane
-// index), so shared-resource requests arrive in global time order and
-// the miss streams interleave the way they would on real hardware; the
-// scheduling is the shard-barrier engine in scale.go, run inline. Warmup
-// and measurement windows apply per thread. It returns an
-// ErrInvalidConfig-classified error for a bad configuration or an empty
-// source list, or an ErrShortTrace-classified *CMPShortTraceError —
-// alongside the contaminated partial CMPResult — when any lane's trace
-// ends inside its warmup window.
+// thread) on a shared-L2 machine with a shared prefetcher. Lanes advance
+// one record at a time, lowest local clock first (ties to the lowest lane
+// index), so shared-resource requests arrive in global time order and the
+// miss streams interleave the way they would on real hardware. Warmup
+// and measurement windows apply per thread; statistics reset grid-wide
+// once the last lane warms. It returns an ErrInvalidConfig-classified
+// error for a bad configuration or an empty source list, or an
+// ErrShortTrace-classified *CMPShortTraceError — alongside the
+// contaminated partial CMPResult — when any lane's trace ends inside its
+// warmup window.
 func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResult, error) {
-	return RunCMPOpts(sources, pf, cfg, CMPOptions{})
+	if len(sources) == 0 {
+		return CMPResult{}, ebcperr.Invalidf("sim: RunCMP needs at least one trace source")
+	}
+	r, err := NewRunner(cfg, pf) // provides the shared half; lane 0 included
+	if err != nil {
+		return CMPResult{}, err
+	}
+	lanes := make([]*lane, len(sources))
+	lanes[0] = r.lane
+	for i := 1; i < len(sources); i++ {
+		if lanes[i], err = newLane(i, cfg); err != nil {
+			return CMPResult{}, err
+		}
+	}
+	// The lane interleaving is decided record by record by the local
+	// clocks, so the loop cannot batch across lanes; per-lane Batchers
+	// amortize the interface dispatch instead. Each lane still receives
+	// exactly its own source's record sequence.
+	srcs := make([]trace.Source, len(sources))
+	for i, s := range sources {
+		srcs[i] = trace.NewBatcher(s, 1024)
+	}
+
+	measureEnd := make([]uint64, len(lanes))
+	done := make([]bool, len(lanes))
+	warmed := make([]bool, len(lanes))
+	unwarmed := len(lanes)
+	measuring := false
+	// shortWarm records that some lane's source ended before it warmed:
+	// the grid-wide reset then ran early, so every lane's measurement
+	// includes warmup. Every lane retires warmed (an exhausted one is
+	// counted as warmed), so the reset always runs before the loop ends.
+	shortWarm := false
+	startMeasuring := func() {
+		for i, l := range lanes {
+			l.resetStats()
+			measureEnd[i] = l.core.Insts() + cfg.MeasureInsts
+		}
+		r.resetShared()
+		measuring = true
+	}
+	markWarm := func(li int) {
+		warmed[li] = true
+		if unwarmed--; unwarmed == 0 {
+			startMeasuring()
+		}
+	}
+	if cfg.WarmInsts == 0 {
+		startMeasuring()
+	}
+
+	for active := len(lanes); active > 0; {
+		li := -1
+		for i, l := range lanes {
+			if !done[i] && (li < 0 || l.core.Now() < lanes[li].core.Now()) {
+				li = i
+			}
+		}
+		l := lanes[li]
+		rec, ok := srcs[li].Next()
+		if !ok {
+			done[li] = true
+			active--
+			if !measuring && !warmed[li] {
+				// The lane's trace ended inside its warmup window, so the
+				// grid can never warm fully. Count it as warmed so the
+				// remaining lanes proceed to a (flagged) measurement.
+				shortWarm = true
+				markWarm(li)
+			}
+			continue
+		}
+		r.step(l, rec)
+		switch {
+		case !measuring:
+			if !warmed[li] && l.core.Insts() >= cfg.WarmInsts {
+				markWarm(li)
+			}
+		case l.core.Insts() >= measureEnd[li]:
+			done[li] = true
+			active--
+		}
+	}
+
+	out := CMPResult{Prefetcher: pf.Name()}
+	for _, l := range lanes {
+		l.core.CloseEpoch()
+		res := r.laneResult(l)
+		// Statistics reset only once every lane warms, so one short trace
+		// pollutes every lane's measurement window.
+		res.WarmupIncomplete = shortWarm
+		out.PerCore = append(out.PerCore, res)
+	}
+	if shortWarm {
+		return out, &CMPShortTraceError{Partial: out}
+	}
+	return out, nil
 }
 
 // String summarizes the CMP result.

@@ -322,9 +322,7 @@ type Runner struct {
 	// ocp is non-nil when the prefetcher is an off-chip latency
 	// predictor (prefetch.OffChipPredictor): the demand path consults it
 	// on real misses and shortens the completion by the predicted
-	// dispatch headroom. Records that reach it run serialized even on a
-	// CMP (only L1 hits run ahead concurrently), so consulting it keeps
-	// runs deterministic.
+	// dispatch headroom.
 	ocp prefetch.OffChipPredictor
 
 	lane *lane
@@ -441,6 +439,11 @@ loop:
 
 func (r *Runner) resetStats() {
 	r.lane.resetStats()
+	r.resetShared()
+}
+
+// resetShared zeroes the statistics of the components every lane shares.
+func (r *Runner) resetShared() {
 	r.l2.ResetStats()
 	r.pb.ResetStats()
 	r.mem.ResetStats()
