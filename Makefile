@@ -14,8 +14,8 @@ vet:
 
 # Static analysis: go vet plus the repo's own analyzer suite
 # (internal/analysis, DESIGN.md §8 "Enforced invariants") — nopanic,
-# hotpathalloc, errwrap, determinism, servectx, specsync, codecstrict
-# and staleallow, type-aware over a module-local go/types
+# hotpathalloc, errwrap, determinism, servectx, codecstrict and
+# staleallow, type-aware over a module-local go/types
 # loading layer, with positioned file:line:col: [check] diagnostics.
 # CI additionally budgets this at 60s on one core (BenchmarkLintModule
 # measures the same pipeline).

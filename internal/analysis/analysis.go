@@ -72,7 +72,7 @@ type Analyzer interface {
 // All returns every analyzer in the suite.
 func All() []Analyzer {
 	return []Analyzer{
-		NoPanic{}, HotpathAlloc{}, ErrWrap{}, Determinism{}, ServeCtx{}, SpecSync{},
+		NoPanic{}, HotpathAlloc{}, ErrWrap{}, Determinism{}, ServeCtx{},
 		CodecStrict{}, StaleAllow{},
 	}
 }

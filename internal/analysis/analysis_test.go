@@ -76,7 +76,6 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"corrtabcodec", "internal/corrtab"},
 		{"driver", "internal/driver"},
 		{"servectx", "internal/fakeserve"},
-		{"specsync", "internal/registry"},
 		{"codecstrict", "internal/codec"},
 		{"staleallow", "internal/stale"},
 	}

@@ -1,197 +1,203 @@
-// The shared-cache hooks: a Session can be backed by a process-wide
-// result store (internal/serve.Cache) so identical cells are simulated
-// once across *all* sessions — the serving daemon's cross-request
-// throughput multiplier. The per-session single-flight memo (sched.go)
-// still runs in front of it: within a session it deduplicates the
-// simulate and collect phases, and across sessions the shared store
-// coalesces concurrent identical cells and keeps completed ones until
-// evicted.
-//
-// Keys are content hashes. A cell's key digests everything that
-// determines its result — the cell identity (runReq/cmpReq key, which
-// by contract uniquely describes benchmark × prefetcher × system
-// config), the full workload parameter struct, the resolved
-// warmup/measure windows, the trace truncation limit and the *content*
-// of any warm-start correlation table — and nothing that doesn't (worker counts, progress callbacks, file paths). Two
-// sessions built from different Options structs that resolve to the
-// same semantics therefore share cells, and any semantic difference
-// keeps them apart. cachekey_test.go enforces both directions field by
-// field, reflectively, so a new Options field cannot silently miss the
-// key.
 package exp
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"os"
-	"reflect"
+	"container/list"
+	"sync"
+	"time"
 
-	"ebcp/internal/ebcperr"
-	"ebcp/internal/sim"
-	"ebcp/internal/workload"
+	"ebcp/internal/metrics"
 )
 
-// Cache is the contract a process-wide shared result store implements
-// (internal/serve.Cache is the production one). Do returns the value
-// stored under key, or runs compute — coalescing concurrent callers of
-// the same key so the computation happens once — and stores its result
-// with the given approximate in-memory cost in bytes. hit reports
-// whether compute was avoided (the value was stored earlier or joined
-// in flight). Implementations must be safe for concurrent use; values
-// are treated as immutable once stored.
-type Cache interface {
-	Do(key string, compute func() (value any, cost int)) (value any, hit bool)
+// The result store. One type serves two instances: every Session owns
+// an unbounded one keyed by cell id (its memo), and a serving daemon
+// hands one byte-budgeted instance, keyed by content hash, to every
+// request's Session (Options.Cache). DESIGN.md §10 documents why there
+// are two instances and the keying and eviction contracts.
+
+// Cache is a result store: keyed values with single-flight coalescing
+// of concurrent identical computations, LRU eviction under a byte
+// budget, and counters (the daemon's /metrics cache block). Values are
+// treated as immutable once stored; Cache is safe for concurrent use.
+type Cache struct {
+	mu       sync.Mutex
+	budget   int64
+	bytes    int64
+	entries  map[string]*list.Element // key → LRU node holding *centry
+	lru      *list.List               // front = most recently used
+	inflight map[string]*cflight
+
+	hits      uint64
+	misses    uint64
+	joins     uint64
+	evictions uint64
+	oversize  uint64
+
+	// computeUS observes, for every computation the cache ran (i.e.
+	// every miss), its duration in microseconds — the serving layer's
+	// cell-latency histogram, since cache computations are exactly the
+	// cells that actually simulate.
+	computeUS metrics.Histogram
 }
 
-// CellKey returns the canonical content-hash cache key of one cell: the
-// digest of the options' semantic fields (resolved windows, trace
-// limit, warm-start table content), the cell kind ("sim"
-// or "cmp"), the cell identity string, and the cell's full workload
-// parameter struct. Reading the warm-start table can fail; the error is
-// ErrInvalidConfig-classified like every other bad-input failure.
-func (o Options) CellKey(kind, cell string, bench workload.Params) (string, error) {
-	seed, err := o.cacheSeed()
-	if err != nil {
-		return "", err
-	}
-	return sealCellKey(seed, kind, cell, bench), nil
+// centry is one stored value with its accounted cost.
+type centry struct {
+	key  string
+	val  any
+	cost int64
 }
 
-// sealCellKey hashes the session-level seed together with one cell's
-// identity. The workload parameters are serialized with %+v: struct
-// fields print in declaration order, so the encoding is deterministic
-// and automatically picks up any field added to workload.Params.
-func sealCellKey(seed, kind, cell string, bench workload.Params) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\n%s\n%+v\n", seed, kind, cell, bench)
-	return hex.EncodeToString(h.Sum(nil))
+// cflight is one in-progress computation; joiners wait on done and read
+// val afterwards.
+type cflight struct {
+	done chan struct{}
+	val  any
 }
 
-// cacheSeed builds the session-level part of every cell key: the
-// resolved windows (so a zero field and an explicit
-// default digest identically), the trace limit, the warm-start table
-// identified by content hash (so the same table at two paths shares
-// cells and an edited table does not), and the content hash of the
-// user-authored spec, if any (so two specs reusing one cell key string
-// for different contents stay apart).
-func (o Options) cacheSeed() (string, error) {
-	warm, measure := o.windows()
-	corr := ""
-	if o.LoadCorrtab != "" {
-		data, err := os.ReadFile(o.LoadCorrtab)
-		if err != nil {
-			return "", ebcperr.Invalidf("exp: reading warm-start table %q: %v", o.LoadCorrtab, err)
-		}
-		sum := sha256.Sum256(data)
-		corr = hex.EncodeToString(sum[:])
+// NewCache creates a cache evicting least-recently-used entries once
+// stored costs exceed budget bytes. A budget <= 0 means unbounded (every
+// Session's own instance; the daemon always sets one). A single entry
+// costing more than the whole budget is served to its caller but never
+// stored: no sequence of evictions could make room for it, so storing
+// it would pin it forever and thrash every fitting entry out.
+func NewCache(budget int64) *Cache {
+	return &Cache{
+		budget:   budget,
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
+		inflight: make(map[string]*cflight),
 	}
-	specSum := ""
-	if o.SpecJSON != "" {
-		sum := sha256.Sum256([]byte(o.SpecJSON))
-		specSum = hex.EncodeToString(sum[:])
-	}
-	return fmt.Sprintf("warm=%d|measure=%d|max=%d|corrtab=%s|spec=%s",
-		warm, measure, o.MaxInsts, corr, specSum), nil
 }
 
-// cellKey is CellKey with the expensive seed (it reads the warm-start
-// file) memoized for the session's lifetime.
-func (s *Session) cellKey(kind, cell string, bench workload.Params) (string, error) {
-	s.seedOnce.Do(func() { s.seed, s.seedErr = s.opts.cacheSeed() })
-	if s.seedErr != nil {
-		return "", s.seedErr
+// Do returns the value stored under key, or
+// runs compute — coalescing concurrent callers of the same key into one
+// computation — and stores the result with the cost compute reports.
+// hit is true when compute did not run in this caller (stored earlier
+// or joined another caller's in-flight computation).
+func (c *Cache) Do(key string, compute func() (any, int)) (any, bool) {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		c.hits++
+		v := el.Value.(*centry).val
+		c.mu.Unlock()
+		return v, true
 	}
-	return sealCellKey(s.seed, kind, cell, bench), nil
+	if f, ok := c.inflight[key]; ok {
+		c.joins++
+		c.mu.Unlock()
+		<-f.done
+		return f.val, true
+	}
+	f := &cflight{done: make(chan struct{})}
+	c.inflight[key] = f
+	c.misses++
+	c.mu.Unlock()
+
+	start := now()
+	v, cost := compute()
+	elapsed := now().Sub(start)
+	f.val = v
+
+	c.mu.Lock()
+	c.computeUS.Observe(uint64(elapsed.Microseconds()))
+	c.insertLocked(key, v, int64(cost))
+	delete(c.inflight, key)
+	c.mu.Unlock()
+	close(f.done)
+	return v, false
 }
 
-// Approximate in-memory cost of a stored cell, for the shared store's
-// byte budget. Results are flat value structs (fixed-size histogram
-// arrays, no heap indirection except a CMP result's per-lane slice), so
-// the reflect sizes are accurate to within the key and bookkeeping
-// overhead folded in as cellCostOverhead.
-const cellCostOverhead = 256
-
-var (
-	simResultSize = int(reflect.TypeOf(sim.Result{}).Size())
-	cmpResultSize = int(reflect.TypeOf(sim.CMPResult{}).Size())
-)
-
-func simCellCost(c simCell) int {
-	return simResultSize + cellCostOverhead
+// insertLocked stores a completed computation and evicts from the LRU
+// tail until the budget holds again (never evicting the entry just
+// inserted: serving the value we just paid to compute always beats
+// strict budget adherence for one round-trip).
+func (c *Cache) insertLocked(key string, v any, cost int64) {
+	if cost < 0 {
+		cost = 0
+	}
+	if c.budget > 0 && cost > c.budget {
+		// The eviction loop below spares the newest entry, so an entry
+		// that exceeds the budget on its own would survive every pass
+		// while forcing everything else out — a permanent squatter. Let
+		// the caller keep the value it computed and store nothing.
+		c.oversize++
+		return
+	}
+	if el, ok := c.entries[key]; ok {
+		// A racing caller can re-insert a key evicted between its miss
+		// and its store; keep the newer value and re-account the cost.
+		c.bytes -= el.Value.(*centry).cost
+		c.lru.Remove(el)
+		delete(c.entries, key)
+	}
+	e := &centry{key: key, val: v, cost: cost}
+	c.entries[key] = c.lru.PushFront(e)
+	c.bytes += cost
+	for c.budget > 0 && c.bytes > c.budget && c.lru.Len() > 1 {
+		c.evictOldestLocked()
+	}
 }
 
-func cmpCellCost(c cmpCell) int {
-	return cmpResultSize + len(c.res.PerCore)*simResultSize + cellCostOverhead
+// evictOldestLocked removes the least-recently-used entry.
+func (c *Cache) evictOldestLocked() {
+	el := c.lru.Back()
+	if el == nil {
+		return
+	}
+	e := el.Value.(*centry)
+	c.lru.Remove(el)
+	delete(c.entries, e.key)
+	c.bytes -= e.cost
+	c.evictions++
 }
 
-// computeSim produces one single-core cell for the session memo: from
-// the shared store when the session has one (coalescing with identical
-// cells of other sessions), else by simulating. Only an actual
-// simulation counts as a run and emits progress; a shared hit is
-// recorded separately. Failed cells are stored too — they are as
-// deterministic as successes, and recomputing a failure per request
-// would defeat the cache exactly when requests are misconfigured.
-func (s *Session) computeSim(r runReq) simCell {
-	run := func() simCell {
-		c := s.simulate(r)
-		s.noteRun(r.key, "CPI", c.res.CPI(), c.err)
-		return c
-	}
-	if s.opts.Cache == nil {
-		return run()
-	}
-	key, err := s.cellKey("sim", r.key, r.bench)
-	if err != nil {
-		return simCell{err: err}
-	}
-	v, hit := s.opts.Cache.Do(key, func() (any, int) {
-		c := run()
-		return c, simCellCost(c)
-	})
-	if hit {
-		s.noteSharedHit()
-	}
-	return v.(simCell)
+// CacheStats is a point-in-time snapshot of the cache counters,
+// embedded in the /metrics document.
+type CacheStats struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Joins     uint64 `json:"inflight_joins"`
+	Evictions uint64 `json:"evictions"`
+	// Oversize counts computed values rejected (not stored) because
+	// their single cost exceeded the whole budget.
+	Oversize uint64 `json:"oversize_rejects"`
+	Entries  int    `json:"entries"`
+	Inflight int    `json:"inflight"`
+	Bytes    int64  `json:"bytes"`
+	Budget   int64  `json:"budget_bytes"`
+	// HitRatio counts joins as hits: (hits+joins) / all lookups. 0 when
+	// nothing was looked up yet.
+	HitRatio float64 `json:"hit_ratio"`
+	// ComputeUS is the per-computation (cache-miss) latency histogram in
+	// microseconds.
+	ComputeUS metrics.Histogram `json:"compute_us"`
 }
 
-// computeCMP is computeSim for CMP cells.
-func (s *Session) computeCMP(r cmpReq) cmpCell {
-	run := func() cmpCell {
-		c := s.simulateCMP(r)
-		s.noteRun(r.key, "IPC", c.res.AggregateIPC(), c.err)
-		return c
+// Stats snapshots the counters.
+func (c *Cache) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := CacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Joins:     c.joins,
+		Evictions: c.evictions,
+		Oversize:  c.oversize,
+		Entries:   c.lru.Len(),
+		Inflight:  len(c.inflight),
+		Bytes:     c.bytes,
+		Budget:    c.budget,
+		ComputeUS: c.computeUS,
 	}
-	if s.opts.Cache == nil {
-		return run()
+	if total := c.hits + c.joins + c.misses; total > 0 {
+		st.HitRatio = float64(st.Hits+st.Joins) / float64(total)
 	}
-	key, err := s.cellKey("cmp", r.key, r.bench)
-	if err != nil {
-		return cmpCell{err: err}
-	}
-	v, hit := s.opts.Cache.Do(key, func() (any, int) {
-		c := run()
-		return c, cmpCellCost(c)
-	})
-	if hit {
-		s.noteSharedHit()
-	}
-	return v.(cmpCell)
+	return st
 }
 
-// noteSharedHit records one cell served by the process-wide store.
-func (s *Session) noteSharedHit() {
-	s.statMu.Lock()
-	s.sharedHits++
-	s.statMu.Unlock()
-}
-
-// SharedHits returns how many cells the process-wide store served
-// without this session simulating them (0 when Options.Cache is nil).
-// Session accounting is then: cells requested = Runs + CacheHits +
-// SharedHits + cancelled skips.
-func (s *Session) SharedHits() int {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.sharedHits
-}
+// now returns wall-clock time for the compute_us histogram. It is
+// observational by nature and never feeds a deterministic report path:
+// every report byte comes from the simulation results, not this clock.
+//
+//ebcp:allow determinism the compute_us histogram is wall-clock by design and never feeds report bytes
+func now() time.Time { return time.Now() }

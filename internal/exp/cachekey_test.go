@@ -1,11 +1,11 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"ebcp/internal/ebcperr"
@@ -44,10 +44,11 @@ func TestCacheKeyFieldClassification(t *testing.T) {
 	}
 }
 
-// keyOf computes one cell key, failing the test on error.
+// keyOf computes one cell key through a fresh session, failing the
+// test on error.
 func keyOf(t *testing.T, o Options) string {
 	t.Helper()
-	k, err := o.CellKey("sim", "cell/db/ebcp", workload.Database())
+	k, err := NewSession(o).cellKey("sim", "cell/db/ebcp", workload.Database())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestCacheKeyIgnoredFieldsKeepKey(t *testing.T) {
 	mutations := map[string]Options{
 		"Workers":  {Warm: 1e6, Measure: 1e6, Workers: 7},
 		"Progress": {Warm: 1e6, Measure: 1e6, Progress: func(RunUpdate) {}},
-		"Cache":    {Warm: 1e6, Measure: 1e6, Cache: &fakeCache{}},
+		"Cache":    {Warm: 1e6, Measure: 1e6, Cache: NewCache(0)},
 	}
 	for name := range ignoredFields {
 		if _, ok := mutations[name]; !ok {
@@ -114,19 +115,19 @@ func TestCacheKeyIgnoredFieldsKeepKey(t *testing.T) {
 // through each cell's own parameter struct, and the cell kind and
 // identity string separate otherwise-identical cells.
 func TestCacheKeyPerCellIdentity(t *testing.T) {
-	o := Options{Warm: 1e6, Measure: 1e6}
+	s := NewSession(Options{Warm: 1e6, Measure: 1e6})
 	db, web := workload.Database(), workload.TPCW()
-	k1, err := o.CellKey("sim", "cell/x", db)
+	k1, err := s.cellKey("sim", "cell/x", db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k2, _ := o.CellKey("sim", "cell/x", web); k2 == k1 {
+	if k2, _ := s.cellKey("sim", "cell/x", web); k2 == k1 {
 		t.Error("different workload params share a key")
 	}
-	if k2, _ := o.CellKey("cmp", "cell/x", db); k2 == k1 {
+	if k2, _ := s.cellKey("cmp", "cell/x", db); k2 == k1 {
 		t.Error("sim and cmp cells share a key")
 	}
-	if k2, _ := o.CellKey("sim", "cell/y", db); k2 == k1 {
+	if k2, _ := s.cellKey("sim", "cell/y", db); k2 == k1 {
 		t.Error("different cell identities share a key")
 	}
 	// A scaled variant is a different workload, hence a different key.
@@ -134,7 +135,7 @@ func TestCacheKeyPerCellIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k2, _ := o.CellKey("sim", "cell/x", scaled); k2 == k1 {
+	if k2, _ := s.cellKey("sim", "cell/x", scaled); k2 == k1 {
 		t.Error("scaled workload shares the full-size key")
 	}
 }
@@ -163,64 +164,28 @@ func TestCacheKeyCorrtabByContent(t *testing.T) {
 		t.Error("different table content produced the same key")
 	}
 
-	o := Options{Warm: 1e6, Measure: 1e6, LoadCorrtab: filepath.Join(dir, "absent.corrtab")}
-	if _, err := o.CellKey("sim", "cell/x", workload.Database()); !errors.Is(err, ebcperr.ErrInvalidConfig) {
+	s := NewSession(Options{Warm: 1e6, Measure: 1e6, LoadCorrtab: filepath.Join(dir, "absent.corrtab")})
+	if _, err := s.cellKey("sim", "cell/x", workload.Database()); !errors.Is(err, ebcperr.ErrInvalidConfig) {
 		t.Errorf("unreadable table: err = %v, want ErrInvalidConfig class", err)
 	}
-}
-
-// fakeCache is an in-package store-everything Cache: enough to prove
-// the session-side plumbing without importing internal/serve (which
-// would cycle).
-type fakeCache struct {
-	mu      sync.Mutex
-	m       map[string]any
-	lookups int
-	stores  int
-}
-
-func (f *fakeCache) Do(key string, compute func() (any, int)) (any, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.lookups++
-	if v, ok := f.m[key]; ok {
-		return v, true
-	}
-	v, _ := compute()
-	if f.m == nil {
-		f.m = map[string]any{}
-	}
-	f.m[key] = v
-	f.stores++
-	return v, false
 }
 
 // TestSharedCacheReplaysAcrossSessions: a second session over the same
 // options simulates nothing, counts its cells as shared hits, and
 // renders the byte-identical report.
 func TestSharedCacheReplaysAcrossSessions(t *testing.T) {
-	cache := &fakeCache{}
-	opts := Options{Warm: 2e5, Measure: 1e5, Workers: 1, Cache: cache}
-	benches := workload.All()
-	for i := range benches {
-		b, err := workload.Scaled(benches[i], 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Benchmarks = append(opts.Benchmarks, b)
-	}
-	e, err := ByID("table1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewCache(0)
+	opts := scaledOptions(t)
+	opts.Cache = cache
+	e := mustExp(t, "table1")
 
 	s1 := NewSession(opts)
 	rep1 := e.Run(s1)
 	if s1.Runs() == 0 || s1.SharedHits() != 0 {
 		t.Fatalf("first session: runs=%d shared=%d, want runs>0 shared=0", s1.Runs(), s1.SharedHits())
 	}
-	if cache.stores != s1.Runs() {
-		t.Errorf("cache stored %d cells for %d runs", cache.stores, s1.Runs())
+	if n := cache.Stats().Entries; n != s1.Runs() {
+		t.Errorf("cache stored %d cells for %d runs", n, s1.Runs())
 	}
 
 	s2 := NewSession(opts)
@@ -243,7 +208,7 @@ func TestSharedCacheReplaysAcrossSessions(t *testing.T) {
 // the second session must see the same classified error without
 // re-simulating.
 func TestSharedCacheReplaysFailures(t *testing.T) {
-	cache := &fakeCache{}
+	cache := NewCache(0)
 	opts := Options{Warm: 1e6, Measure: 1e6, MaxInsts: 10_000, Workers: 1, Cache: cache}
 	e, err := ByID("table1")
 	if err != nil {
@@ -266,5 +231,89 @@ func TestSharedCacheReplaysFailures(t *testing.T) {
 	}
 	if rep2.NACells() != rep1.NACells() {
 		t.Errorf("replayed report has %d n/a cells, first had %d", rep2.NACells(), rep1.NACells())
+	}
+}
+
+// scaledOptions is a serial session over 5%-scale workloads at short
+// windows: a whole Table 1 grid in well under a second.
+func scaledOptions(t *testing.T) Options {
+	t.Helper()
+	opts := Options{Warm: 2e5, Measure: 1e5, Workers: 1}
+	for _, b := range workload.All() {
+		sb, err := workload.Scaled(b, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Benchmarks = append(opts.Benchmarks, sb)
+	}
+	return opts
+}
+
+// gridCells returns how many distinct cells one canonical experiment's
+// grid holds on the session's benchmark set.
+func gridCells(t *testing.T, s *Session, id string) int {
+	t.Helper()
+	sp, err := CanonicalSpec(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := compileSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(c.referencedCells()) * len(c.benchmarks(s))
+}
+
+// TestSessionPinsCellsUnderEvictingStore pins why a session keeps its
+// own store in front of the shared one: a shared store smaller than any
+// cell rejects every store as oversize, yet the session must still
+// simulate each distinct cell exactly once (its simulate and collect
+// phases both request every cell) and render the same report as an
+// unshared session.
+func TestSessionPinsCellsUnderEvictingStore(t *testing.T) {
+	e := mustExp(t, "table1")
+	opts := scaledOptions(t)
+	want := e.Run(NewSession(opts)).String()
+
+	cache := NewCache(1)
+	opts.Cache = cache
+	s := NewSession(opts)
+	got := e.Run(s).String()
+	if cells := gridCells(t, s, "table1"); s.Runs() != cells {
+		t.Errorf("Runs() = %d under an all-rejecting shared store, want %d (one per distinct cell)", s.Runs(), cells)
+	}
+	if got != want {
+		t.Errorf("report differs from an unshared session's:\n--- shared ---\n%s\n--- unshared ---\n%s", got, want)
+	}
+	if st := cache.Stats(); st.Entries != 0 || st.Oversize != uint64(s.Runs()) {
+		t.Errorf("shared store stats = %+v, want 0 entries and %d oversize rejects", st, s.Runs())
+	}
+}
+
+// TestCancelledSessionSparesSharedStore pins cancellation accounting: on
+// an already-cancelled context every grid cell fails once — however
+// many times the simulate and collect phases request it — nothing runs
+// or counts as a hit, and the shared store is never touched, so no
+// other session can inherit a cancelled cell.
+func TestCancelledSessionSparesSharedStore(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cache := NewCache(0)
+	opts := scaledOptions(t)
+	opts.Cache = cache
+	s := NewSessionContext(ctx, opts)
+	mustExp(t, "table1").Run(s)
+
+	if cells := gridCells(t, s, "table1"); s.Failures() != cells {
+		t.Errorf("Failures() = %d, want %d (each distinct cancelled cell once)", s.Failures(), cells)
+	}
+	if s.Runs() != 0 || s.CacheHits() != 0 || s.SharedHits() != 0 {
+		t.Errorf("runs=%d hits=%d shared=%d, want all 0", s.Runs(), s.CacheHits(), s.SharedHits())
+	}
+	if !errors.Is(s.FirstError(), ebcperr.ErrCancelled) {
+		t.Errorf("FirstError() = %v, want ErrCancelled class", s.FirstError())
+	}
+	if st := cache.Stats(); st.Misses != 0 || st.Entries != 0 {
+		t.Errorf("shared store stats = %+v, want 0 misses and 0 entries", st)
 	}
 }

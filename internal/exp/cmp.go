@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"ebcp/internal/ebcperr"
 	"ebcp/internal/prefetch"
 	"ebcp/internal/sim"
 	"ebcp/internal/trace"
@@ -16,9 +15,8 @@ import (
 // main-memory table; Solihin's memory-side engine trains on the
 // interleaved miss stream. The canonical grid lives in specs/cmp.json.
 
-// cmpReq names one CMP simulation cell (they do not fit the single-core
-// memo: the result type differs and the prefetcher builder needs the
-// core count).
+// cmpReq names one CMP simulation cell (the prefetcher builder needs
+// the core count).
 type cmpReq struct {
 	key   string
 	bench workload.Params
@@ -26,26 +24,10 @@ type cmpReq struct {
 	pf    func(cores int) (prefetch.Prefetcher, error)
 }
 
-// execCMP returns a CMP cell's result, simulating it at most once per
-// session (single-flight and error-memoizing, like exec) and at most
-// once per process when a shared store backs the session.
-func (s *Session) execCMP(r cmpReq) (sim.CMPResult, error) {
-	v, st := s.cmps.do(s.ctx, r.key, func() cmpCell { return s.computeCMP(r) })
-	if st == runCancelled {
-		s.noteCancelled(r.key)
-		err := ebcperr.Cancelledf("exp: cell %s not simulated: %v", r.key, s.ctx.Err())
-		s.noteErr(err)
-		return sim.CMPResult{}, err
-	}
-	if st == runShared {
-		s.noteHit()
-	}
-	s.noteErr(v.err)
-	return v.res, v.err
-}
+func (r cmpReq) id() (string, string, workload.Params) { return "cmp", r.key, r.bench }
 
-// simulateCMP executes one CMP cell.
-func (s *Session) simulateCMP(r cmpReq) cmpCell {
+// simulate executes one CMP cell.
+func (r cmpReq) simulate(s *Session) cell {
 	cfg := sim.DefaultConfig()
 	cfg.Core.OnChipCPI = r.bench.OnChipCPI
 	cfg.WarmInsts, cfg.MeasureInsts = s.opts.windows()
@@ -60,7 +42,7 @@ func (s *Session) simulateCMP(r cmpReq) cmpCell {
 		b.Seed += int64(i) * 7919
 		src, err := workload.New(b)
 		if err != nil {
-			return cmpCell{err: err}
+			return cell{err: err}
 		}
 		if s.opts.MaxInsts > 0 {
 			sources[i] = trace.NewLimit(src, s.opts.MaxInsts)
@@ -70,11 +52,11 @@ func (s *Session) simulateCMP(r cmpReq) cmpCell {
 	}
 	pf, err := r.pf(r.cores)
 	if err != nil {
-		return cmpCell{err: err}
+		return cell{err: err}
 	}
 	if err := s.warmStart(pf); err != nil {
-		return cmpCell{err: err}
+		return cell{err: err}
 	}
 	res, err := sim.RunCMP(sources, pf, cfg)
-	return cmpCell{res: res, err: err}
+	return cell{cmp: res, err: err}
 }

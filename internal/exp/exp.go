@@ -6,9 +6,15 @@
 //
 // Execution is two-phase. An experiment first *plans* its full run grid
 // and hands it to the session's worker pool (the simulate phase, sched.go),
-// then builds its report from the memoized results in a fixed order (the
+// then builds its report from the stored results in a fixed order (the
 // collect phase). Reports are therefore bit-identical for any worker
 // count: parallelism changes wall-clock time only.
+//
+// Results live in one store type, Cache (cache.go), used as two
+// instances: each Session's own unbounded store keyed by cell id, which
+// simulates every cell at most once per session, and an optional
+// byte-budgeted store keyed by content hash that a serving daemon shares
+// across sessions (Options.Cache).
 package exp
 
 import (
@@ -17,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 
@@ -62,14 +67,15 @@ type Options struct {
 	// geometry must match the cell's prefetcher configuration. Cells
 	// whose prefetcher is not an EBCP are unaffected.
 	LoadCorrtab string
-	// Cache, when non-nil, backs the session with a process-wide shared
-	// result store: cells whose canonical content-hash key (CellKey)
-	// matches an earlier computation — in this session or any other —
-	// are served from the store instead of simulating, and concurrent
-	// identical cells across sessions coalesce into one simulation.
-	// Cache never changes what a session computes, only whether it has
-	// to; it is ignored by the cache key itself.
-	Cache Cache
+	// Cache, when non-nil, is a shared result store behind the
+	// session's own one: a cell the session has not computed yet is
+	// looked up by its content-hash key (sched.go), so cells computed
+	// by any earlier session are served without simulating, and
+	// concurrent identical cells across sessions coalesce into one
+	// simulation. Cancelled cells never reach it. Cache never changes
+	// what a session computes, only whether it has to; it is ignored
+	// by the cache key itself.
+	Cache *Cache
 	// SpecJSON, when non-empty, is the canonical encoding
 	// (spec.Canonical) of the user-authored spec this session runs. It
 	// is digested into every cell key: the canonical experiments' cell
@@ -83,7 +89,7 @@ type Options struct {
 
 // RunUpdate describes one completed simulation.
 type RunUpdate struct {
-	// Key is the memo key: unique per (benchmark, prefetcher, config).
+	// Key is the cell id: unique per (benchmark, prefetcher, config).
 	Key string
 	// Metric names Value: "CPI" for single-core runs, "IPC" for CMP runs.
 	Metric string
@@ -149,17 +155,19 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, ebcperr.Invalidf("exp: unknown experiment %q", id)
 }
 
-// Session runs simulations with memoization, so experiments sharing runs
-// (e.g. the baselines, or Figures 4 and 5) execute them once. Sessions
-// are safe for concurrent use: the memo is single-flight (two
-// experiments requesting the same cell share one simulation), and the
-// simulate phase shards independent cells across a worker pool.
+// Session runs simulations through its own store (an unbounded Cache
+// keyed by cell id), so experiments sharing runs (e.g. the baselines, or
+// Figures 4 and 5) execute them once. Sessions are safe for concurrent
+// use: the store is single-flight (two experiments requesting the same
+// cell share one simulation), and the simulate phase shards independent
+// cells across a worker pool. The session store stays even when a shared
+// store backs the session: the shared one may evict (or refuse) a cell
+// between the simulate and collect phases, and the session must still
+// simulate each cell at most once.
 type Session struct {
-	opts Options
-	ctx  context.Context
-
-	sims sfGroup[simCell]
-	cmps sfGroup[cmpCell]
+	opts  Options
+	ctx   context.Context
+	cells *Cache
 
 	statMu     sync.Mutex
 	runs       int
@@ -167,17 +175,15 @@ type Session struct {
 	sharedHits int
 	failures   int
 	firstErr   error
-	cancelled  map[string]struct{}
 
 	progressMu sync.Mutex
 
-	corrtabOnce sync.Once
-	corrtabData []byte
-	corrtabErr  error
-
-	seedOnce sync.Once
+	// The warm-start table and the cell-key seed derived from it, read
+	// once per session (load, sched.go).
+	loadOnce sync.Once
+	corrtab  []byte
 	seed     string
-	seedErr  error
+	loadErr  error
 }
 
 // warmStart restores the Options.LoadCorrtab table into an EBCP-family
@@ -185,37 +191,18 @@ type Session struct {
 // read once per session; each call decodes a fresh table so concurrent
 // cells never share mutable state.
 func (s *Session) warmStart(pf prefetch.Prefetcher) error {
-	if s.opts.LoadCorrtab == "" {
-		return nil
-	}
 	e, ok := pf.(*core.EBCP)
-	if !ok {
+	if s.opts.LoadCorrtab == "" || !ok {
 		return nil
 	}
-	s.corrtabOnce.Do(func() {
-		s.corrtabData, s.corrtabErr = os.ReadFile(s.opts.LoadCorrtab)
-	})
-	if s.corrtabErr != nil {
-		return s.corrtabErr
+	if err := s.load(); err != nil {
+		return err
 	}
-	tab, err := corrtab.Decode(bytes.NewReader(s.corrtabData))
+	tab, err := corrtab.Decode(bytes.NewReader(s.corrtab))
 	if err != nil {
 		return err
 	}
 	return e.RestoreTable(tab)
-}
-
-// simCell and cmpCell are the memoized outcome of one grid cell: the
-// result together with the error that produced (or prevented) it, so a
-// failed cell is computed once and its error replayed to every consumer.
-type simCell struct {
-	res sim.Result
-	err error
-}
-
-type cmpCell struct {
-	res sim.CMPResult
-	err error
 }
 
 // NewSession creates a session that runs to completion.
@@ -231,7 +218,7 @@ func NewSessionContext(ctx context.Context, opts Options) *Session {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Session{opts: opts, ctx: ctx}
+	return &Session{opts: opts, ctx: ctx, cells: NewCache(0)}
 }
 
 // Runs returns how many simulations actually executed.
@@ -241,8 +228,8 @@ func (s *Session) Runs() int {
 	return s.runs
 }
 
-// CacheHits returns how many cell requests were served from the memo (or
-// by joining another caller's in-flight simulation).
+// CacheHits returns how many cell requests were served from the session
+// store (or by joining another caller's in-flight simulation).
 func (s *Session) CacheHits() int {
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
@@ -256,12 +243,13 @@ func (s *Session) Err() error { return s.ctx.Err() }
 
 // Failures returns how many executed simulations ended in an error
 // (each failed cell is counted once, like Runs). Cells skipped by
-// cancellation count too, deduplicated by key, because the simulate and
-// collect phases may both request the same unrunnable cell.
+// cancellation count too, once each: the session store keeps the
+// cancelled outcome, so the simulate and collect phases requesting the
+// same unrunnable cell see one failure.
 func (s *Session) Failures() int {
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
-	return s.failures + len(s.cancelled)
+	return s.failures
 }
 
 // workers returns the effective simulate-phase pool size.
@@ -271,9 +259,6 @@ func (s *Session) workers() int {
 	}
 	return runtime.NumCPU()
 }
-
-// memoLen reports how many results the session has memoized (test hook).
-func (s *Session) memoLen() int { return s.sims.len() + s.cmps.len() }
 
 // noteRun records one executed simulation (failed or not) and emits
 // progress.
@@ -290,24 +275,6 @@ func (s *Session) noteRun(key, metric string, value float64, err error) {
 		s.opts.Progress(RunUpdate{Key: key, Metric: metric, Value: value, Runs: n, Err: err})
 		s.progressMu.Unlock()
 	}
-}
-
-// noteCancelled records a cell that was skipped because the session's
-// context was cancelled before it could start.
-func (s *Session) noteCancelled(key string) {
-	s.statMu.Lock()
-	if s.cancelled == nil {
-		s.cancelled = make(map[string]struct{})
-	}
-	s.cancelled[key] = struct{}{}
-	s.statMu.Unlock()
-}
-
-// noteHit records one memo/in-flight hit.
-func (s *Session) noteHit() {
-	s.statMu.Lock()
-	s.cacheHits++
-	s.statMu.Unlock()
 }
 
 // noteErr remembers the first cell error a consumer observed (nil calls
@@ -333,11 +300,19 @@ func (s *Session) FirstError() error {
 	return s.firstErr
 }
 
-// runReq names one single-core simulation cell: the memo key plus
-// everything needed to execute it. Experiments build the same runReq in
-// their simulate and collect phases, so each cell is defined exactly
-// once. The key must uniquely describe (benchmark, prefetcher, system
-// config).
+// SharedHits returns how many cells the shared store served without
+// this session simulating them (0 when Options.Cache is nil). Session
+// accounting is then: cells requested = Runs + CacheHits + SharedHits +
+// cancelled skips.
+func (s *Session) SharedHits() int {
+	s.statMu.Lock()
+	defer s.statMu.Unlock()
+	return s.sharedHits
+}
+
+// runReq names one single-core simulation cell: its id plus everything
+// needed to execute it. The key must uniquely describe (benchmark,
+// prefetcher, system config).
 type runReq struct {
 	key   string
 	bench workload.Params
@@ -345,29 +320,10 @@ type runReq struct {
 	mut   func(*sim.Config)
 }
 
-// exec returns a cell's result, simulating it at most once per session
-// — and, when the session is backed by a shared store, at most once per
-// process (computeSim in cache.go). A failed cell's error is memoized
-// with it and replayed to every consumer. Under a cancelled context,
-// cells that never ran return an ErrCancelled-classified error (and are
-// not memoized, so a later un-cancelled session state is not poisoned).
-func (s *Session) exec(r runReq) (sim.Result, error) {
-	v, st := s.sims.do(s.ctx, r.key, func() simCell { return s.computeSim(r) })
-	if st == runCancelled {
-		s.noteCancelled(r.key)
-		err := ebcperr.Cancelledf("exp: cell %s not simulated: %v", r.key, s.ctx.Err())
-		s.noteErr(err)
-		return sim.Result{}, err
-	}
-	if st == runShared {
-		s.noteHit()
-	}
-	s.noteErr(v.err)
-	return v.res, v.err
-}
+func (r runReq) id() (string, string, workload.Params) { return "sim", r.key, r.bench }
 
-// simulate executes one cell.
-func (s *Session) simulate(r runReq) simCell {
+// simulate executes one single-core cell.
+func (r runReq) simulate(s *Session) cell {
 	cfg := sim.DefaultConfig()
 	cfg.Core.OnChipCPI = r.bench.OnChipCPI
 	cfg.WarmInsts, cfg.MeasureInsts = s.opts.windows()
@@ -376,7 +332,7 @@ func (s *Session) simulate(r runReq) simCell {
 	}
 	gen, err := workload.New(r.bench)
 	if err != nil {
-		return simCell{err: err}
+		return cell{err: err}
 	}
 	var src trace.Source = gen
 	if s.opts.MaxInsts > 0 {
@@ -384,27 +340,13 @@ func (s *Session) simulate(r runReq) simCell {
 	}
 	pf, err := r.pf()
 	if err != nil {
-		return simCell{err: err}
+		return cell{err: err}
 	}
 	if err := s.warmStart(pf); err != nil {
-		return simCell{err: err}
+		return cell{err: err}
 	}
 	res, err := sim.Run(src, pf, cfg)
-	return simCell{res: res, err: err}
-}
-
-// baselineReq is the no-prefetching cell for a benchmark.
-func baselineReq(bench workload.Params) runReq {
-	return runReq{
-		key:   "base/" + bench.Name,
-		bench: bench,
-		pf:    func() (prefetch.Prefetcher, error) { return prefetch.None{}, nil },
-	}
-}
-
-// baseline returns the no-prefetching run for a benchmark.
-func (s *Session) baseline(bench workload.Params) (sim.Result, error) {
-	return s.exec(baselineReq(bench))
+	return cell{res: res, err: err}
 }
 
 // cellValue folds a computed metric and the errors of the runs behind it

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ebcp/internal/prefetch"
 	"ebcp/internal/workload"
 )
 
@@ -287,19 +288,28 @@ func TestReportRenderAndValue(t *testing.T) {
 	}
 }
 
+// baselineReq is the no-prefetching cell for a benchmark.
+func baselineReq(bench workload.Params) runReq {
+	return runReq{
+		key:   "base/" + bench.Name,
+		bench: bench,
+		pf:    func() (prefetch.Prefetcher, error) { return prefetch.None{}, nil },
+	}
+}
+
 func TestSessionMemoization(t *testing.T) {
 	s := NewSession(Options{Warm: 1e6, Measure: 1e6})
 	b := workload.SPECjbb2005()
-	_, _ = s.baseline(b)
+	s.exec(baselineReq(b))
 	runs := s.Runs()
-	_, _ = s.baseline(b)
+	s.exec(baselineReq(b))
 	if s.Runs() != runs {
 		t.Error("baseline should be memoized")
 	}
 	if s.CacheHits() == 0 {
 		t.Error("memoized replay should count as a cache hit")
 	}
-	if s.memoLen() != runs {
+	if s.cells.Stats().Entries != runs {
 		t.Error("memo bookkeeping inconsistent")
 	}
 }

@@ -1,91 +1,48 @@
 package exp
 
 import (
-	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"os"
+	"reflect"
 	"sync"
+
+	"ebcp/internal/ebcperr"
+	"ebcp/internal/sim"
+	"ebcp/internal/workload"
 )
 
 // The parallel scheduler. Experiments run in two phases: a *simulate*
 // phase that executes every cell of the run grid across a worker pool,
-// and a *collect* phase that reads the memoized results back in a fixed
+// and a *collect* phase that reads the stored results back in a fixed
 // order to build the report. Because simulations are deterministic and
-// memoized exactly once (single-flight), the collect phase — and hence
-// every Report — is bit-identical regardless of worker count or the
-// order in which the pool happened to finish the work.
+// the session's own store computes each cell exactly once
+// (single-flight), the collect phase — and hence every Report — is
+// bit-identical regardless of worker count or the order in which the
+// pool happened to finish the work.
 
-// sfGroup is a memoizing single-flight group: concurrent callers of the
-// same key share one computation, and completed values are cached for
-// the life of the group.
-type sfGroup[V any] struct {
-	mu       sync.Mutex
-	memo     map[string]V
-	inflight map[string]*flight[V]
+// cellReq is one grid cell: a runReq (single-core) or a cmpReq (CMP).
+// Experiments build the same request in their simulate and collect
+// phases, so each cell is defined exactly once.
+type cellReq interface {
+	// id returns the cell kind ("sim" or "cmp"), its identity key —
+	// unique per (benchmark, prefetcher, system config) within the
+	// kind — and its workload.
+	id() (kind, key string, bench workload.Params)
+	// simulate executes the cell.
+	simulate(s *Session) cell
 }
 
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-}
-
-// runStatus says how a request was satisfied.
-type runStatus int
-
-const (
-	// runComputed: this caller executed the computation.
-	runComputed runStatus = iota
-	// runShared: the value came from the memo or from another caller's
-	// in-flight computation.
-	runShared
-	// runCancelled: the value was neither memoized nor in flight and the
-	// context was already cancelled, so nothing ran; v is the zero value.
-	runCancelled
-)
-
-// do returns the value for key, computing it at most once across all
-// callers. A cancelled context prevents *starting* a computation but
-// still serves memoized and in-flight values, so cancelled sessions
-// yield partial results rather than blocking.
-func (g *sfGroup[V]) do(ctx context.Context, key string, compute func() V) (V, runStatus) {
-	g.mu.Lock()
-	if v, ok := g.memo[key]; ok {
-		g.mu.Unlock()
-		return v, runShared
-	}
-	if f, ok := g.inflight[key]; ok {
-		g.mu.Unlock()
-		<-f.done
-		return f.val, runShared
-	}
-	if ctx.Err() != nil {
-		g.mu.Unlock()
-		var zero V
-		return zero, runCancelled
-	}
-	f := &flight[V]{done: make(chan struct{})}
-	if g.inflight == nil {
-		g.inflight = make(map[string]*flight[V])
-	}
-	g.inflight[key] = f
-	g.mu.Unlock()
-
-	f.val = compute()
-
-	g.mu.Lock()
-	if g.memo == nil {
-		g.memo = make(map[string]V)
-	}
-	g.memo[key] = f.val
-	delete(g.inflight, key)
-	g.mu.Unlock()
-	close(f.done)
-	return f.val, runComputed
-}
-
-// len returns how many values the group has memoized.
-func (g *sfGroup[V]) len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.memo)
+// cell is the stored outcome of one grid cell: the result (res for
+// single-core cells, cmp for CMP cells) together with the error that
+// produced or prevented it, so a failed cell is computed once and its
+// error replayed to every consumer.
+type cell struct {
+	res sim.Result
+	cmp sim.CMPResult
+	err error
 }
 
 // forEach runs f(0..n-1) across the session's worker pool and waits for
@@ -128,14 +85,155 @@ func (s *Session) forEach(n int, f func(int)) {
 	wg.Wait()
 }
 
-// ensure is the simulate phase for single-core cells: it executes every
-// not-yet-memoized cell in reqs across the worker pool. After it
-// returns, collect-phase exec calls are memo hits.
-func (s *Session) ensure(reqs []runReq) {
+// ensure is the simulate phase: it executes every not-yet-stored cell
+// in reqs across the worker pool. After it returns, collect-phase exec
+// calls are store hits.
+func (s *Session) ensure(reqs []cellReq) {
 	s.forEach(len(reqs), func(i int) { s.exec(reqs[i]) })
 }
 
-// ensureCMP is the simulate phase for CMP cells.
-func (s *Session) ensureCMP(reqs []cmpReq) {
-	s.forEach(len(reqs), func(i int) { s.execCMP(reqs[i]) })
+// exec returns a cell's outcome, computing it at most once per session
+// (the session's own store, keyed by kind and cell id) and, when a
+// shared store backs the session, at most once per process. A failed or
+// cancelled cell's error is stored with it and replayed to every
+// consumer; replaying a cancelled cell is not a hit, because nothing
+// was ever computed for it.
+func (s *Session) exec(r cellReq) cell {
+	kind, key, _ := r.id()
+	v, hit := s.cells.Do(kind+"/"+key, func() (any, int) { return s.compute(r), 0 })
+	c := v.(cell)
+	if hit && !errors.Is(c.err, ebcperr.ErrCancelled) {
+		s.statMu.Lock()
+		s.cacheHits++
+		s.statMu.Unlock()
+	}
+	s.noteErr(c.err)
+	return c
+}
+
+// compute produces one cell for the session's store. Under a cancelled
+// context nothing starts: the cell becomes an ErrCancelled failure
+// (counted once, since the session store keeps it) and the shared store
+// is never touched, so another session cannot inherit it. Otherwise the
+// cell comes from the shared store when the session has one
+// (coalescing with identical cells of other sessions), else by
+// simulating. Only an actual simulation counts as a run and emits
+// progress; a shared hit is recorded separately. Failed cells are
+// shared too — they are as deterministic as successes, and recomputing
+// a failure per request would defeat the cache exactly when requests
+// are misconfigured.
+func (s *Session) compute(r cellReq) cell {
+	kind, key, bench := r.id()
+	if err := s.ctx.Err(); err != nil {
+		s.statMu.Lock()
+		s.failures++
+		s.statMu.Unlock()
+		return cell{err: ebcperr.Cancelledf("exp: cell %s not simulated: %v", key, err)}
+	}
+	run := func() cell {
+		c := r.simulate(s)
+		metric, value := "CPI", c.res.CPI()
+		if kind == "cmp" {
+			metric, value = "IPC", c.cmp.AggregateIPC()
+		}
+		s.noteRun(key, metric, value, c.err)
+		return c
+	}
+	if s.opts.Cache == nil {
+		return run()
+	}
+	hash, err := s.cellKey(kind, key, bench)
+	if err != nil {
+		return cell{err: err}
+	}
+	v, hit := s.opts.Cache.Do(hash, func() (any, int) {
+		c := run()
+		return c, cellCost(kind, c)
+	})
+	if hit {
+		s.statMu.Lock()
+		s.sharedHits++
+		s.statMu.Unlock()
+	}
+	return v.(cell)
+}
+
+// Shared-store keys are content hashes. A cell's key digests everything
+// that determines its result — the cell kind and identity (which by
+// contract uniquely describes benchmark × prefetcher × system config),
+// the full workload parameter struct, the resolved warmup/measure
+// windows, the trace truncation limit, the *content* of any warm-start
+// correlation table and of a user-authored spec — and nothing that
+// doesn't (worker counts, progress callbacks, file paths). Two sessions
+// built from different Options structs that resolve to the same
+// semantics therefore share cells, and any semantic difference keeps
+// them apart. cachekey_test.go enforces both directions field by field,
+// reflectively, so a new Options field cannot silently miss the key.
+
+// cellKey returns the content-hash key of one cell: the session seed
+// (load) sealed with the cell kind, identity and workload
+// parameters. The workload parameters are serialized with %+v: struct
+// fields print in declaration order, so the encoding is deterministic
+// and automatically picks up any field added to workload.Params.
+// Reading the warm-start table can fail; the error is
+// ErrInvalidConfig-classified like every other bad-input failure.
+func (s *Session) cellKey(kind, cell string, bench workload.Params) (string, error) {
+	if err := s.load(); err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%s\n%s\n%+v\n", s.seed, kind, cell, bench)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// load reads the warm-start table once per session and derives the
+// session-level part of every cell key from the same bytes warmStart
+// decodes. The seed holds the resolved windows (so a zero field and an
+// explicit default digest identically), the trace limit, the warm-start
+// table by content hash (so the same table at two paths shares cells
+// and an edited table does not), and the content hash of the
+// user-authored spec, if any (so two specs reusing one cell key string
+// for different contents stay apart).
+func (s *Session) load() error {
+	s.loadOnce.Do(func() {
+		corr := ""
+		if s.opts.LoadCorrtab != "" {
+			data, err := os.ReadFile(s.opts.LoadCorrtab)
+			if err != nil {
+				s.loadErr = ebcperr.Invalidf("exp: reading warm-start table %q: %v", s.opts.LoadCorrtab, err)
+				return
+			}
+			s.corrtab = data
+			sum := sha256.Sum256(data)
+			corr = hex.EncodeToString(sum[:])
+		}
+		specSum := ""
+		if s.opts.SpecJSON != "" {
+			sum := sha256.Sum256([]byte(s.opts.SpecJSON))
+			specSum = hex.EncodeToString(sum[:])
+		}
+		warm, measure := s.opts.windows()
+		s.seed = fmt.Sprintf("warm=%d|measure=%d|max=%d|corrtab=%s|spec=%s",
+			warm, measure, s.opts.MaxInsts, corr, specSum)
+	})
+	return s.loadErr
+}
+
+// Approximate in-memory cost of a shared cell, for the shared store's
+// byte budget. Results are flat value structs (fixed-size histogram
+// arrays, no heap indirection except a CMP result's per-lane slice), so
+// the reflect sizes are accurate to within the key and bookkeeping
+// overhead folded in as cellCostOverhead.
+const cellCostOverhead = 256
+
+var (
+	simResultSize = int(reflect.TypeOf(sim.Result{}).Size())
+	cmpResultSize = int(reflect.TypeOf(sim.CMPResult{}).Size())
+)
+
+func cellCost(kind string, c cell) int {
+	if kind == "cmp" {
+		return cmpResultSize + len(c.cmp.PerCore)*simResultSize + cellCostOverhead
+	}
+	return simResultSize + cellCostOverhead
 }

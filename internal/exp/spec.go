@@ -144,6 +144,14 @@ func (c *compiledSpec) simReq(name string, b workload.Params) runReq {
 	}
 }
 
+// req instantiates a cell template of the spec's kind for one benchmark.
+func (c *compiledSpec) req(name string, b workload.Params) cellReq {
+	if c.sp.Kind == "cmp" {
+		return c.cmpReqFor(name, b)
+	}
+	return c.simReq(name, b)
+}
+
 // cmpReqFor instantiates a cmp-kind cell template for one benchmark.
 func (c *compiledSpec) cmpReqFor(name string, b workload.Params) cmpReq {
 	cell := c.sp.Cells[name]
@@ -188,23 +196,13 @@ func (c *compiledSpec) run(s *Session) *Report {
 	}
 
 	cells := c.referencedCells()
-	if sp.Kind == "cmp" {
-		var reqs []cmpReq
-		for _, b := range benches {
-			for _, n := range cells {
-				reqs = append(reqs, c.cmpReqFor(n, b))
-			}
+	var reqs []cellReq
+	for _, b := range benches {
+		for _, n := range cells {
+			reqs = append(reqs, c.req(n, b))
 		}
-		s.ensureCMP(reqs)
-	} else {
-		var reqs []runReq
-		for _, b := range benches {
-			for _, n := range cells {
-				reqs = append(reqs, c.simReq(n, b))
-			}
-		}
-		s.ensure(reqs)
 	}
+	s.ensure(reqs)
 
 	for _, g := range sp.Rows {
 		if g.PerBenchmark {
@@ -244,19 +242,19 @@ func (c *compiledSpec) collectRow(s *Session, r spec.RowV1, gb workload.Params, 
 // cell's (and, for relative metrics, its baseline's) errors into NaN
 // exactly like the hardcoded constructors did.
 func (c *compiledSpec) value(s *Session, metric, cellName string, b workload.Params) float64 {
+	cl := s.exec(c.req(cellName, b))
+	res, err := cl.res, cl.err
 	if c.sp.Kind == "cmp" {
-		res, err := s.execCMP(c.cmpReqFor(cellName, b))
-		base, berr := s.execCMP(c.cmpReqFor(c.sp.Cells[cellName].Baseline, b))
-		return cellValue(100*(res.Speedup(base)-1), berr, err)
+		base := s.exec(c.req(c.sp.Cells[cellName].Baseline, b))
+		return cellValue(100*(cl.cmp.Speedup(base.cmp)-1), base.err, err)
 	}
-	res, err := s.exec(c.simReq(cellName, b))
 	if spec.MetricNeedsBaseline(metric) {
-		base, berr := s.exec(c.simReq(c.sp.Cells[cellName].Baseline, b))
+		base := s.exec(c.req(c.sp.Cells[cellName].Baseline, b))
 		switch metric {
 		case "improvement_pct":
-			return cellValue(100*res.Improvement(base), berr, err)
+			return cellValue(100*res.Improvement(base.res), base.err, err)
 		case "epi_reduction_pct":
-			return cellValue(100*res.EPIReduction(base), berr, err)
+			return cellValue(100*res.EPIReduction(base.res), base.err, err)
 		}
 	}
 	switch metric {
@@ -298,10 +296,12 @@ var (
 	canonSpecs map[string]spec.SpecV1
 )
 
-// canonical decodes and compiles the embedded spec files once. The
-// specs are build-time constants gated by tier-1 tests (the goldens,
-// the spec codec suite, the specsync analyzer), so a failure here can
-// only mean a corrupted build.
+// canonical decodes and compiles the embedded spec files once,
+// rejecting a spec whose id differs from its file name or that names
+// a prefetcher or workload the registry does not resolve. The specs
+// are build-time constants gated by tier-1 tests (the goldens, the spec
+// codec suite, TestCanonicalSpecsCoverEveryContender), so a failure
+// here can only mean a corrupted build.
 //
 //ebcp:allow nopanic the embedded canonical specs are compile-time constants validated by tier-1 tests; failing to load them is build corruption, not an input error
 func canonical() ([]Experiment, map[string]spec.SpecV1) {

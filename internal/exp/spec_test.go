@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/registry"
 	"ebcp/internal/spec"
 )
 
@@ -79,6 +80,31 @@ const minimalSpec = `{
     {"rows": [{"label": "EBCP", "metric": "improvement_pct", "cells": ["x"]}]}
   ]
 }`
+
+// TestCanonicalSpecsCoverEveryContender: every registered prefetcher is
+// used by at least one cell of a committed canonical spec. The canonical
+// set includes the full Figure 9 contender comparison, so an unused
+// registration means the canonical coverage — or the registration — is
+// wrong. The other direction (every name a spec uses is registered) and
+// each spec's id matching its file name are load-time checks in
+// canonical(), which every test here reaches.
+func TestCanonicalSpecsCoverEveryContender(t *testing.T) {
+	used := map[string]bool{}
+	for _, id := range canonicalOrder {
+		sp, err := CanonicalSpec(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range sp.Cells {
+			used[c.Prefetcher.Name] = true
+		}
+	}
+	for _, name := range registry.PrefetcherNames() {
+		if !used[name] {
+			t.Errorf("registered prefetcher %q is used by no canonical spec", name)
+		}
+	}
+}
 
 // TestFromSpecRejectsUnknownRegistryNames: a spec may only reference
 // registered contenders and workloads; the error names the offender.

@@ -53,16 +53,16 @@ func TestOptionsLoadCorrtabWarmStartsEBCP(t *testing.T) {
 	b := workload.Database()
 	s := NewSession(Options{Warm: 200e3, Measure: 200e3, LoadCorrtab: path})
 
-	res, err := s.exec(warmReq(b))
-	if err != nil {
-		t.Fatalf("warm-started cell failed: %v", err)
+	c := s.exec(warmReq(b))
+	if c.err != nil {
+		t.Fatalf("warm-started cell failed: %v", c.err)
 	}
-	if res.Core.Instructions == 0 {
+	if c.res.Core.Instructions == 0 {
 		t.Error("warm-started cell produced no instructions")
 	}
 
 	// Non-EBCP cells must pass through untouched.
-	if _, err := s.baseline(b); err != nil {
+	if err := s.exec(baselineReq(b)).err; err != nil {
 		t.Fatalf("baseline cell failed under LoadCorrtab: %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestOptionsLoadCorrtabRejectsGeometryMismatch(t *testing.T) {
 	dflt := core.DefaultConfig()
 	path := writeTableFile(t, dflt.TableEntries/2, dflt.TableMaxAddrs)
 	s := NewSession(Options{Warm: 200e3, Measure: 200e3, LoadCorrtab: path})
-	if _, err := s.exec(warmReq(workload.Database())); !errors.Is(err, ebcperr.ErrInvalidConfig) {
+	if err := s.exec(warmReq(workload.Database())).err; !errors.Is(err, ebcperr.ErrInvalidConfig) {
 		t.Fatalf("err = %v, want ErrInvalidConfig for mismatched table geometry", err)
 	}
 }
@@ -79,7 +79,7 @@ func TestOptionsLoadCorrtabRejectsGeometryMismatch(t *testing.T) {
 func TestOptionsLoadCorrtabMissingFile(t *testing.T) {
 	s := NewSession(Options{Warm: 200e3, Measure: 200e3,
 		LoadCorrtab: filepath.Join(t.TempDir(), "absent.json")})
-	if _, err := s.exec(warmReq(workload.Database())); err == nil {
+	if err := s.exec(warmReq(workload.Database())).err; err == nil {
 		t.Fatal("missing table file did not fail the cell")
 	}
 }

@@ -8,8 +8,10 @@
 // The built-in entries live in builtin.go as map literals (duplicate
 // names are then a compile error); RegisterPrefetcher/RegisterWorkload
 // let extension packages self-register additional entries at init time.
-// The specsync analyzer (internal/analysis) keeps the built-in names
-// and the committed spec files under internal/exp/specs in sync.
+// Tests keep the built-in names and the committed spec files under
+// internal/exp/specs in sync: exp's canonical() rejects a spec name
+// this package does not resolve, and TestCanonicalSpecsCoverEveryContender
+// (internal/exp) fails on a registered prefetcher no spec uses.
 package registry
 
 import (

@@ -49,6 +49,21 @@ func TestBuiltinPrefetchersBuild(t *testing.T) {
 	}
 }
 
+// TestBuiltinKeysMatchNames: each built-in table's map key is the name
+// its entry registers under, so lookups and listings agree.
+func TestBuiltinKeysMatchNames(t *testing.T) {
+	for key, e := range builtinPrefetchers() {
+		if e.Name != key {
+			t.Errorf("builtinPrefetchers()[%q].Name = %q", key, e.Name)
+		}
+	}
+	for key, e := range builtinWorkloads() {
+		if e.Name != key {
+			t.Errorf("builtinWorkloads()[%q].Name = %q", key, e.Name)
+		}
+	}
+}
+
 // TestBuiltinWorkloads checks each workload entry's name matches its
 // parameter set (the spec compiler uses the name as the report column).
 func TestBuiltinWorkloads(t *testing.T) {

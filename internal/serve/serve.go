@@ -124,7 +124,7 @@ func New(cfg Config) (*Server, error) {
 
 // CacheStats exposes the shared cache's counters (for tests and the
 // /metrics handler).
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
+func (s *Server) CacheStats() exp.CacheStats { return s.cache.Stats() }
 
 // enqueue admits a job or rejects it with an ErrOverloaded- or
 // drain-classified error.
@@ -402,7 +402,7 @@ type StatsV1 struct {
 	QueueWaitUS metrics.Histogram `json:"queue_wait_us"`
 	RequestUS   metrics.Histogram `json:"request_us"`
 	// The shared result cache.
-	Cache CacheStats `json:"cache"`
+	Cache exp.CacheStats `json:"cache"`
 }
 
 // Stats snapshots the serving counters (the /metrics body).
@@ -487,3 +487,12 @@ func (s *Server) Drain(ctx context.Context) error {
 		return ebcperr.Cancelledf("serve: drain incomplete: %v", ctx.Err())
 	}
 }
+
+// now returns wall-clock time for serving telemetry (queue-wait and
+// request-latency histograms). Serving metrics are observational by
+// nature and never feed a deterministic report path: every byte of an
+// ebcp.report/v1 response comes from the simulation results, not from
+// these clocks.
+//
+//ebcp:allow determinism serving telemetry is wall-clock by design and never feeds report bytes
+func now() time.Time { return time.Now() }
