@@ -1,9 +1,12 @@
 # Gates for this repository. `make tier1` is the seed contract; `make
 # race` is the concurrency gate guarding the parallel experiment
 # scheduler (internal/exp/sched.go) — run it before touching anything
-# under internal/exp.
+# under internal/exp. CI runs tier1, lint, race-short, cover, smoke and
+# spec-smoke. Performance is measured by `bash perfbench/run.sh`
+# (perfbench/README.md); the `go test -bench` functions stay as
+# profiling entry points.
 
-.PHONY: tier1 vet lint cover race race-short fuzz bench-parallel bench-json smoke spec-smoke
+.PHONY: tier1 vet lint cover race race-short fuzz bench-parallel smoke spec-smoke
 
 # Build + full test suite (the tier-1 contract from ROADMAP.md).
 tier1:
@@ -27,7 +30,7 @@ lint: vet
 # core, the prefetcher contenders (every reported delta comes from one
 # of them), and the analyzer suite (a lint gate with untested paths is
 # a gate that silently stops gating). A drop below 70% means new code
-# shipped without tests.
+# shipped without tests. CI gates on it (the "Coverage floor" step).
 COVER_FLOOR := 70
 cover:
 	@fail=0; \
@@ -67,21 +70,6 @@ fuzz:
 # Serial vs parallel session wall-clock comparison (speedup needs >1 CPU).
 bench-parallel:
 	go test -bench 'BenchmarkSession(Serial|Parallel)' -benchtime 1x -count 1
-
-# Refresh the committed throughput baseline: single-run simulator speed
-# (Minsts/s, allocs/op), the serial/parallel session grid, and the
-# daemon's serving curve (hit/miss/mixed × 1/4/16 clients), as JSON.
-# Compare against the committed BENCH_throughput.json before/after perf
-# work; see EXPERIMENTS.md ("Performance workflow" and "Serving
-# benchmarks"). BENCH_HOST_NOTE lands in the document's host_note field
-# — describe the machine when refreshing the committed baseline.
-BENCH_HOST_NOTE ?=
-bench-json:
-	( go test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkCMPThroughput|BenchmarkSession(Serial|Parallel)' \
-		-benchmem -benchtime 1x -count 1 . ; \
-	  go test -run '^$$' -bench 'BenchmarkServe' \
-		-benchmem -benchtime 5x -count 1 ./internal/serve ) \
-		| go run ./cmd/benchjson -host-note "$(BENCH_HOST_NOTE)" -o BENCH_throughput.json
 
 # Daemon smoke: boot ebcpd, POST an experiment and an inline
 # ebcp.spec/v1, assert valid reports, a cache hit on the identical

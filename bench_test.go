@@ -147,7 +147,8 @@ func BenchmarkSessionParallel(b *testing.B) { benchmarkSession(b, runtime.NumCPU
 
 // BenchmarkSimThroughput measures raw simulator speed (simulated
 // instructions per wall-clock second) on the Database workload with the
-// tuned EBCP — the figure of merit for the condensed-trace design.
+// tuned EBCP. It is a profiling entry point (-cpuprofile); the committed
+// single-run figure is perfbench's sim-db workload.
 func BenchmarkSimThroughput(b *testing.B) {
 	bench := Database()
 	cfg := DefaultSystem(bench)
@@ -189,8 +190,9 @@ func BenchmarkAblations(b *testing.B) {
 // across lane counts (fixed total work: the per-lane window shrinks as
 // lanes grow). The loop runs on one goroutine and picks the lowest-clock
 // lane by a linear scan per record, so the Minsts/s curve falls as lanes
-// are added; BENCH_throughput.json records the committed curve. `lanes`
-// rides along as a metric so that file is self-describing.
+// are added. `lanes` rides along as a metric so each output line is
+// self-describing. This is a profiling entry point; committed
+// performance numbers come from perfbench (perfbench/README.md).
 func BenchmarkCMPThroughput(b *testing.B) {
 	bench := Database()
 	for _, lanes := range []int{1, 2, 4, 8, 16, 32, 64} {

@@ -1,10 +1,11 @@
 // Package cache models the on-chip cache hierarchy of the default
 // processor configuration: set-associative L1 instruction/data caches and a
-// unified L2, all with true-LRU replacement and 64B lines, plus the MSHR
-// files that bound the number of outstanding misses and the small 4-way
-// prefetch buffer that every evaluated prefetcher fills (Section 5.2 of the
-// paper: prefetched lines live in the buffer and are only promoted into the
-// regular caches when they satisfy a demand request).
+// unified L2, all with true-LRU replacement and 64B lines, plus the small
+// 4-way prefetch buffer that every evaluated prefetcher fills (Section 5.2
+// of the paper: prefetched lines live in the buffer and are only promoted
+// into the regular caches when they satisfy a demand request). The MSHR
+// file is modelled elsewhere: the cpu model's outstanding-miss limit
+// bounds it, and the simulator's per-epoch miss set merges duplicates.
 package cache
 
 import (

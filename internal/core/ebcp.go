@@ -169,8 +169,7 @@ type EBCP struct {
 	// copies out of it, so reuse across trainings is safe).
 	payload []amo.Line
 
-	active bool
-	stats  Stats
+	stats Stats
 }
 
 var _ prefetch.Prefetcher = (*EBCP)(nil)
@@ -198,7 +197,6 @@ func New(cfg Config) (*EBCP, error) {
 		table:   table,
 		cores:   cores,
 		payload: make([]amo.Line, 0, 2*cfg.EMABMaxAddrs),
-		active:  true,
 	}, nil
 }
 
@@ -242,21 +240,6 @@ func (e *EBCP) RestoreTable(t *corrtab.Table) error {
 	return nil
 }
 
-// Deactivate models the operating system reclaiming the table's physical
-// memory region (Section 3.4.1): the prefetcher enters the inactive state
-// and its table contents are lost.
-func (e *EBCP) Deactivate() {
-	e.active = false
-	e.table.Reclaim()
-}
-
-// Activate models a successful re-allocation of the table region: the
-// prefetcher resumes learning from an empty table.
-func (e *EBCP) Activate() { e.active = true }
-
-// Active reports whether the prefetcher is in the active state.
-func (e *EBCP) Active() bool { return e.active }
-
 // boundary decides whether this access begins a new (real or virtual)
 // epoch. Real epoch triggers do, and once prefetching removes whole
 // epochs the chain is sustained by prefetch-buffer hits: a hit or miss
@@ -284,7 +267,7 @@ func (e *EBCP) boundary(cs *coreState, a prefetch.Access) bool {
 
 // OnAccess implements prefetch.Prefetcher.
 func (e *EBCP) OnAccess(a prefetch.Access, ctx *prefetch.Context) {
-	if !e.active || a.L2Hit || a.MissMerged {
+	if a.L2Hit || a.MissMerged {
 		return
 	}
 	if a.Core < 0 || a.Core >= len(e.cores) {

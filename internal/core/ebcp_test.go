@@ -226,30 +226,6 @@ func TestLRUWritebackDisabled(t *testing.T) {
 	}
 }
 
-func TestDeactivateReclaimsTable(t *testing.T) {
-	ctx := testCtx()
-	e := must(New(smallConfig()))
-	e.Table().Update(amo.Line(5), []amo.Line{1})
-	e.Deactivate()
-	if e.Active() {
-		t.Error("should be inactive")
-	}
-	if e.Table().Occupancy() != 0 {
-		t.Error("deactivation must reclaim the table region")
-	}
-	// Inactive: accesses are ignored.
-	now, inst := uint64(0), uint64(0)
-	epoch(e, ctx, &now, &inst, 10, 11)
-	if e.Stats().Boundaries != 0 {
-		t.Error("inactive prefetcher must ignore accesses")
-	}
-	e.Activate()
-	epoch(e, ctx, &now, &inst, 10, 11)
-	if e.Stats().Boundaries != 1 {
-		t.Error("reactivated prefetcher must resume")
-	}
-}
-
 func TestDegreeLimitsPrefetches(t *testing.T) {
 	ctx := testCtx()
 	cfg := smallConfig()

@@ -12,16 +12,15 @@
 // caller, which charges it against the interconnect model.
 //
 // Storage is sparse (only touched indices are materialized) but flat:
-// entries live in dense pages of fixed-capacity slots — a tag, a
-// generation stamp, a length, and an inline MaxAddrs-line address array
-// carved out of one per-page backing slice — and a small open-addressed
-// index maps touched table indices to slots. An 8M-entry idealized table
-// therefore still costs memory proportional to its working set, not its
-// architected size, while the steady state (update, lookup, touch) runs
-// without pointer chasing or per-entry allocation; new storage is only
-// allocated one page (or one index doubling) at a time. Reclaim is a
-// generation bump: stale slots are recycled in place the next time their
-// index is written.
+// entries live in dense pages of fixed-capacity slots — a tag, a length,
+// and an inline MaxAddrs-line address array carved out of one per-page
+// backing slice — and a small open-addressed index maps touched table
+// indices to slots. An 8M-entry idealized table therefore still costs
+// memory proportional to its working set, not its architected size,
+// while the steady state (update, lookup, touch) runs without pointer
+// chasing or per-entry allocation; new storage is only allocated one
+// page (or one index doubling) at a time. A slot is live from the moment
+// its index is first written, so the arena never holds a dead entry.
 package corrtab
 
 import (
@@ -89,13 +88,11 @@ const (
 	pageMask  = pageSize - 1
 )
 
-// page is one dense block of entry slots. A slot is live when its
-// generation stamp matches the table's; addresses are kept MRU-first in
-// the slot's inline span of the page's flat backing array (the span's
+// page is one dense block of entry slots. Addresses are kept MRU-first
+// in the slot's inline span of the page's flat backing array (the span's
 // order encodes the 64B entry's LRU information).
 type page struct {
 	tags [pageSize]uint64
-	gens [pageSize]uint32
 	ns   [pageSize]uint16
 	// addrs holds pageSize fixed-capacity spans of MaxAddrs lines each.
 	addrs []amo.Line
@@ -105,17 +102,15 @@ type page struct {
 type Table struct {
 	cfg  Config
 	mask uint64
-	gen  uint32
-	live int
 
 	// pages is the append-only slot arena; nextSlot is the first unused
-	// slot (pages are filled densely in allocation order).
+	// slot (pages are filled densely in allocation order). Every slot
+	// below nextSlot holds a live entry, one per touched index.
 	pages    []*page
 	nextSlot uint32
 
 	// Open-addressed index: table index -> arena slot. Keys are stored
-	// as index+1 so the zero value means empty; the index only grows
-	// (slots of reclaimed generations are recycled in place).
+	// as index+1 so the zero value means empty; the index only grows.
 	idxKeys  []uint64
 	idxSlots []uint32
 	idxMask  uint64
@@ -134,7 +129,6 @@ func New(cfg Config) (*Table, error) {
 	return &Table{
 		cfg:      cfg,
 		mask:     uint64(cfg.Entries - 1),
-		gen:      1,
 		idxKeys:  make([]uint64, initIdx),
 		idxSlots: make([]uint32, initIdx),
 		idxMask:  initIdx - 1,
@@ -250,7 +244,7 @@ func (t *Table) Lookup(key amo.Line) []amo.Line {
 		return nil
 	}
 	p, ps := t.slot(s)
-	if p.gens[ps] != t.gen || p.tags[ps] != uint64(key) {
+	if p.tags[ps] != uint64(key) {
 		return nil
 	}
 	t.stats.Hits++
@@ -273,20 +267,16 @@ func (t *Table) Update(key amo.Line, addrs []amo.Line) {
 	if indexed {
 		p, ps = t.slot(s)
 	}
-	if !indexed || p.gens[ps] != t.gen || p.tags[ps] != uint64(key) {
-		if !indexed {
+	if !indexed || p.tags[ps] != uint64(key) {
+		if indexed {
+			t.stats.ConflictEvictions++
+		} else {
 			s = t.newSlot()
 			t.indexSlot(idx, s)
 			p, ps = t.slot(s)
 		}
-		if p.gens[ps] == t.gen {
-			t.stats.ConflictEvictions++
-		} else {
-			t.live++
-		}
 		t.stats.Allocations++
 		p.tags[ps] = uint64(key)
-		p.gens[ps] = t.gen
 		p.ns[ps] = 0
 		if len(addrs) > t.cfg.MaxAddrs {
 			addrs = addrs[:t.cfg.MaxAddrs]
@@ -336,9 +326,6 @@ func (t *Table) Touch(index uint64, used amo.Line) {
 		return
 	}
 	p, ps := t.slot(s)
-	if p.gens[ps] != t.gen {
-		return
-	}
 	span := p.span(ps, t.cfg.MaxAddrs)
 	for i := 0; i < int(p.ns[ps]); i++ {
 		if span[i] == used {
@@ -350,25 +337,9 @@ func (t *Table) Touch(index uint64, used amo.Line) {
 	}
 }
 
-// Reclaim drops all table contents, modelling the operating system
-// reclaiming the physical memory region (Section 3.4.1). The prefetcher
-// re-learns from scratch when a region is granted again. Storage is kept
-// for recycling: live entries are invalidated by a generation bump and
-// their slots rewritten in place when their index is next updated.
-func (t *Table) Reclaim() {
-	t.gen++
-	t.live = 0
-	if t.gen == 0 { // generation counter wrapped: hard-reset stamps
-		for _, p := range t.pages {
-			p.gens = [pageSize]uint32{}
-		}
-		t.gen = 1
-	}
-}
-
 // Occupancy returns how many distinct indices are materialized (for tests
 // and memory accounting).
-func (t *Table) Occupancy() int { return t.live }
+func (t *Table) Occupancy() int { return int(t.nextSlot) }
 
 // Row is one live entry in export form: the full key line (whose
 // direct-mapped index is Tag & (Entries-1)) and its prefetch addresses,
@@ -384,12 +355,9 @@ type Row struct {
 // of insertion order and arena layout. The serializer depends on this
 // determinism for byte-stable output.
 func (t *Table) Rows() []Row {
-	rows := make([]Row, 0, t.live)
+	rows := make([]Row, 0, t.nextSlot)
 	for s := uint32(0); s < t.nextSlot; s++ {
 		p, ps := t.slot(s)
-		if p.gens[ps] != t.gen {
-			continue
-		}
 		span := p.span(ps, t.cfg.MaxAddrs)[:p.ns[ps]]
 		rows = append(rows, Row{
 			Tag:   amo.Line(p.tags[ps]),

@@ -127,23 +127,11 @@ type Stats struct {
 	WriteBusyCycles uint64
 }
 
-// Class returns the stats for one priority class.
-func (s Stats) Class(p Priority) ClassStats { return s.PerClass[p] }
-
 // TotalReads sums reads across classes.
 func (s Stats) TotalReads() uint64 {
 	var n uint64
 	for _, c := range s.PerClass {
 		n += c.Reads
-	}
-	return n
-}
-
-// TotalDrops sums dropped requests across classes.
-func (s Stats) TotalDrops() uint64 {
-	var n uint64
-	for _, c := range s.PerClass {
-		n += c.ReadDrops + c.WriteDrops
 	}
 	return n
 }
@@ -265,15 +253,6 @@ func (m *System) Write(line amo.Line, now uint64, pri Priority) (accepted bool) 
 	cs.Writes++
 	m.stats.WriteBusyCycles += m.writeOcc
 	return true
-}
-
-// ReadBacklog returns how many cycles of read-bus work are queued ahead of
-// cycle now (0 if the bus is idle).
-func (m *System) ReadBacklog(now uint64) uint64 {
-	if m.prefetchReadBusy <= now {
-		return 0
-	}
-	return m.prefetchReadBusy - now
 }
 
 func max64(a, b uint64) uint64 {

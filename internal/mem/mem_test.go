@@ -117,20 +117,6 @@ func TestWritePostedAndDropped(t *testing.T) {
 	}
 }
 
-func TestReadBacklog(t *testing.T) {
-	m := defaultSystem()
-	if m.ReadBacklog(0) != 0 {
-		t.Error("fresh system should have no backlog")
-	}
-	m.Read(0, 0, Demand)
-	if got := m.ReadBacklog(0); got != 20 {
-		t.Errorf("backlog = %d, want 20", got)
-	}
-	if got := m.ReadBacklog(1000); got != 0 {
-		t.Errorf("backlog after drain = %d, want 0", got)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	m := defaultSystem()
 	m.Read(0, 0, Demand)

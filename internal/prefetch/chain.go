@@ -276,9 +276,8 @@ func (t *ChainTable) Update(trigger, succ amo.Line) {
 		return
 	}
 	// Aging: halve every count (floored at 1 — live successors always
-	// carry a positive count, the invariant the codec enforces), then
-	// evict the weakest survivor (first position wins ties) and append
-	// the newcomer in its place order.
+	// carry a positive count), then evict the weakest survivor (first
+	// position wins ties) and append the newcomer in its place order.
 	evict := 0
 	for i := 0; i < n; i++ {
 		if t.counts[base+i] > 1 {
@@ -339,9 +338,9 @@ type ChainRow struct {
 	Succs   []ChainSucc
 }
 
-// Rows exports the live entries in FIFO order (oldest first) — the
-// canonical order the ebcp.chain/v1 codec serializes, chosen so that
-// re-inserting the rows into a fresh table reproduces the ring exactly.
+// Rows exports the live entries in FIFO order (oldest first), each with
+// its successors in insertion order and their counts: the full state the
+// differential test compares against its map-backed oracle.
 func (t *ChainTable) Rows() []ChainRow {
 	rows := make([]ChainRow, 0, t.n)
 	for i := 0; i < t.n; i++ {

@@ -44,14 +44,6 @@ func TestNegativeConfigs(t *testing.T) {
 		{"GHB negative degree", func() error { _, err := NewGHB("g", 1024, 1024, -1); return err }},
 		{"TCP non-pow2 THT", func() error { _, err := NewTCP("t", 100, 2048, 16, 6); return err }},
 		{"TCP zero PHT ways", func() error { _, err := NewTCP("t", 128, 2048, 0, 6); return err }},
-		{"TCP history too deep", func() error {
-			tc, err := NewTCP("t", 128, 2048, 16, 6)
-			if err != nil {
-				return err
-			}
-			_, err = tc.SetHistoryLength(3)
-			return err
-		}},
 		{"stream zero streams", func() error { _, err := NewStream(0, 6); return err }},
 		{"stream zero degree", func() error { _, err := NewStream(32, 0); return err }},
 		{"Solihin zero depth", func() error { _, err := NewSolihin(0, 2, 1<<20); return err }},

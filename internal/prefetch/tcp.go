@@ -8,10 +8,14 @@ import (
 // TCP is the Tag Correlating Prefetcher of Hu, Martonosi and Kaxiras
 // (HPCA 2003), the paper's second comparison point. Instead of
 // correlating full miss addresses, TCP correlates cache *tags* within a
-// set: a Tag History Table (THT) keeps the last two miss tags of each
-// cache set, and a Pattern History Table (PHT), indexed by a hash of that
-// tag history, predicts the next tag. Chained PHT lookups generate
+// set: a Tag History Table (THT) keeps the last miss tag of each cache
+// set, and a Pattern History Table (PHT), indexed by a hash of the set
+// and that tag, predicts the next tag. Chained PHT lookups generate
 // deeper prefetches. TCP targets load misses only.
+//
+// This is TCP-1, the one-tag history depth: the more robust variant on
+// interleaved commercial miss streams, and the only one the
+// reproduction evaluates.
 //
 // Two configurations are evaluated (Section 5.3): TCP small with 2048
 // PHT sets of 16 ways (~256KB at 45-bit physical addresses) and TCP
@@ -20,7 +24,6 @@ import (
 type TCP struct {
 	label   string
 	degree  int
-	histLen int // tags of history per prediction (1 = TCP-1, 2 = TCP-2)
 	setBits uint
 
 	tht []thtEntry
@@ -28,8 +31,8 @@ type TCP struct {
 }
 
 type thtEntry struct {
-	tags  [2]uint64 // [0] most recent
-	valid int
+	tag   uint64 // most recent miss tag of the set
+	valid bool
 }
 
 // phtTable is a set-associative tag-prediction table with LRU
@@ -114,23 +117,10 @@ func NewTCP(label string, thtSets, phtSets, phtWays, degree int) (*TCP, error) {
 	return &TCP{
 		label:   label,
 		degree:  degree,
-		histLen: 1,
 		setBits: amo.Log2(uint64(thtSets)),
 		tht:     make([]thtEntry, thtSets),
 		pht:     newPHT(phtSets, phtWays),
 	}, nil
-}
-
-// SetHistoryLength selects the tag-history depth (1 = TCP-1, the more
-// robust variant on interleaved commercial miss streams; 2 = TCP-2). An
-// out-of-range depth returns an ErrInvalidConfig-classified error and
-// leaves the prefetcher unchanged.
-func (t *TCP) SetHistoryLength(n int) (*TCP, error) {
-	if n < 1 || n > 2 {
-		return nil, ebcperr.Invalidf("prefetch: TCP history length %d must be 1 or 2", n)
-	}
-	t.histLen = n
-	return t, nil
 }
 
 // TCPSmall is the ~256KB configuration of Section 5.3.
@@ -142,17 +132,11 @@ func TCPLarge(degree int) (*TCP, error) { return NewTCP("TCP large", 128, 32<<10
 // Name implements Prefetcher.
 func (t *TCP) Name() string { return t.label }
 
-// historyKey hashes a set index and its most recent tag(s) into a PHT
-// key.
+// historyKey hashes a set index and its most recent tag into a PHT key.
 //
 //ebcp:hotpath
-func (t *TCP) historyKey(set int, tags [2]uint64) uint64 {
-	const m1, m2 = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
-	h := uint64(set)
-	h = (h ^ tags[0]) * m1
-	if t.histLen > 1 {
-		h = (h ^ tags[1]) * m2
-	}
+func historyKey(set int, tag uint64) uint64 {
+	h := (uint64(set) ^ tag) * 0x9e3779b97f4a7c15
 	return h ^ (h >> 29)
 }
 
@@ -168,32 +152,26 @@ func (t *TCP) OnAccess(a Access, ctx *Context) {
 	tag := a.Line.Tag(t.setBits)
 
 	e := &t.tht[set]
-	// Train: previous history predicts this tag.
-	if e.valid >= t.histLen {
-		t.pht.update(t.historyKey(set, e.tags), tag)
+	// Train: the previous tag predicts this one.
+	if e.valid {
+		t.pht.update(historyKey(set, e.tag), tag)
 	}
-	// Shift the new tag into the history.
-	e.tags[1] = e.tags[0]
-	e.tags[0] = tag
-	if e.valid < t.histLen {
-		e.valid++
+	e.tag = tag
+	if !e.valid {
+		e.valid = true
 		return
-	}
-	if e.valid < 2 {
-		e.valid++
 	}
 
 	// Predict: chain PHT lookups to the configured depth, following only
 	// confident mappings.
-	hist := e.tags
+	hist := tag
 	for i := 0; i < t.degree; i++ {
-		next, confident, ok := t.pht.lookup(t.historyKey(set, hist))
+		next, confident, ok := t.pht.lookup(historyKey(set, hist))
 		if !ok || !confident {
 			return
 		}
 		line := amo.Line(next<<t.setBits | uint64(set))
 		ctx.Prefetch(a.Now, line, NoTable)
-		hist[1] = hist[0]
-		hist[0] = next
+		hist = next
 	}
 }
