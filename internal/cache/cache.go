@@ -65,18 +65,16 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set stamp; higher is more recent.
-	lru uint64
-}
-
-// Cache is a set-associative cache with true-LRU replacement.
+// Cache is a set-associative cache with true-LRU replacement. Its state
+// is one flat, pointer-free array: set i occupies 2*Ways words starting
+// at 2*Ways*i, first the Ways keys (tag+1, with 0 marking an invalid way)
+// and then the Ways LRU words (stamp<<1 | dirty, where the stamp is the
+// cache-wide access clock and higher is more recent). A 4-way set is one
+// 64-byte host line, and the garbage collector never scans the array.
 type Cache struct {
 	cfg     Config
-	sets    [][]way
+	sets    []uint64
+	ways    int
 	nSets   int
 	setBits uint
 	stamp   uint64
@@ -90,14 +88,10 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nSets := int(cfg.SizeBytes / amo.LineSize / uint64(cfg.Ways))
-	sets := make([][]way, nSets)
-	backing := make([]way, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	return &Cache{
 		cfg:     cfg,
-		sets:    sets,
+		sets:    make([]uint64, 2*nSets*cfg.Ways),
+		ways:    cfg.Ways,
 		nSets:   nSets,
 		setBits: amo.Log2(uint64(nSets)),
 	}, nil
@@ -116,22 +110,34 @@ func (c *Cache) Stats() Stats { return c.stats }
 // boundary) without disturbing cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
+// locate returns the key and LRU words of the line's set and the key the
+// line is stored under.
+//
 //ebcp:hotpath
-func (c *Cache) locate(l amo.Line) (set []way, tag uint64) {
-	return c.sets[l.SetIndex(c.nSets)], l.Tag(c.setBits)
+func (c *Cache) locate(l amo.Line) (keys, lru []uint64, key uint64) {
+	base := l.SetIndex(c.nSets) * 2 * c.ways
+	set := c.sets[base : base+2*c.ways]
+	return set[:c.ways], set[c.ways:], l.Tag(c.setBits) + 1
+}
+
+// find returns the way holding key, or -1.
+//
+//ebcp:hotpath
+func find(keys []uint64, key uint64) int {
+	for i, k := range keys {
+		if k == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup probes for the line without updating statistics or LRU state.
 //
 //ebcp:hotpath
 func (c *Cache) Lookup(l amo.Line) bool {
-	set, tag := c.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	keys, _, key := c.locate(l)
+	return find(keys, key) >= 0
 }
 
 // Access probes for the line, counting the access and updating LRU on a
@@ -140,13 +146,11 @@ func (c *Cache) Lookup(l amo.Line) bool {
 //ebcp:hotpath
 func (c *Cache) Access(l amo.Line) bool {
 	c.stats.Accesses++
-	set, tag := c.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.stamp++
-			set[i].lru = c.stamp
-			return true
-		}
+	keys, lru, key := c.locate(l)
+	if i := find(keys, key); i >= 0 {
+		c.stamp++
+		lru[i] = c.stamp<<1 | lru[i]&1
+		return true
 	}
 	c.stats.Misses++
 	return false
@@ -159,36 +163,40 @@ func (c *Cache) Access(l amo.Line) bool {
 //
 //ebcp:hotpath
 func (c *Cache) Fill(l amo.Line, dirty bool) (victim amo.Line, evicted, victimDirty bool) {
-	set, tag := c.locate(l)
+	keys, lru, key := c.locate(l)
 	c.stamp++
+	var d uint64
+	if dirty {
+		d = 1
+	}
 	// Already present (e.g. racing fills): refresh.
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.stamp
-			set[i].dirty = set[i].dirty || dirty
-			return 0, false, false
-		}
+	if i := find(keys, key); i >= 0 {
+		lru[i] = c.stamp<<1 | lru[i]&1 | d
+		return 0, false, false
 	}
 	c.stats.Fills++
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			vi = i
-			goto place
+	// The victim is the first invalid way, else the least recently used.
+	// Valid ways carry distinct stamps, so the dirty bit never decides.
+	vi, full := 0, true
+	for i, k := range keys {
+		if k == 0 {
+			vi, full = i, false
+			break
 		}
-		if set[i].lru < set[vi].lru {
+		if lru[i] < lru[vi] {
 			vi = i
 		}
 	}
-	victim = amo.Line(set[vi].tag<<c.setBits | uint64(l.SetIndex(c.nSets)))
-	evicted = true
-	victimDirty = set[vi].dirty
-	c.stats.Evictions++
-	if victimDirty {
-		c.stats.DirtyEvictions++
+	if full {
+		victim = amo.Line((keys[vi]-1)<<c.setBits | uint64(l.SetIndex(c.nSets)))
+		evicted = true
+		victimDirty = lru[vi]&1 != 0
+		c.stats.Evictions++
+		if victimDirty {
+			c.stats.DirtyEvictions++
+		}
 	}
-place:
-	set[vi] = way{tag: tag, valid: true, dirty: dirty, lru: c.stamp}
+	keys[vi], lru[vi] = key, c.stamp<<1|d
 	return victim, evicted, victimDirty
 }
 
@@ -198,13 +206,10 @@ place:
 //
 //ebcp:hotpath
 func (c *Cache) Touch(l amo.Line) {
-	set, tag := c.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.stamp++
-			set[i].lru = c.stamp
-			return
-		}
+	keys, lru, key := c.locate(l)
+	if i := find(keys, key); i >= 0 {
+		c.stamp++
+		lru[i] = c.stamp<<1 | lru[i]&1
 	}
 }
 
@@ -212,12 +217,10 @@ func (c *Cache) Touch(l amo.Line) {
 //
 //ebcp:hotpath
 func (c *Cache) Invalidate(l amo.Line) bool {
-	set, tag := c.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
-			return true
-		}
+	keys, _, key := c.locate(l)
+	if i := find(keys, key); i >= 0 {
+		keys[i] = 0
+		return true
 	}
 	return false
 }

@@ -40,7 +40,8 @@ func requireClassified(t *testing.T, stage string, err error) {
 // CheckInvariants. The committed corpus under testdata/fuzz/FuzzSpecRun
 // holds the ten canonical specs and mutants of them: an unknown
 // contender, rejected parameter and filter blocks, extreme bandwidth
-// and buffer tweaks, a zero-core CMP cell and truncated JSON.
+// and buffer tweaks, a zero-core and an over-limit CMP cell, an
+// over-limit prefetch buffer and truncated JSON.
 func FuzzSpecRun(f *testing.F) {
 	bench, err := workload.Scaled(workload.Database(), 0.05)
 	if err != nil {

@@ -127,15 +127,6 @@ type Stats struct {
 	WriteBusyCycles uint64
 }
 
-// TotalReads sums reads across classes.
-func (s Stats) TotalReads() uint64 {
-	var n uint64
-	for _, c := range s.PerClass {
-		n += c.Reads
-	}
-	return n
-}
-
 // System is the memory + interconnect model.
 type System struct {
 	cfg      Config

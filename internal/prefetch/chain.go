@@ -175,9 +175,10 @@ func (c ChainTableConfig) Validate() error {
 }
 
 // ChainTable is the flat trigger→successor store of the chaining
-// prefetcher: a FIFO ring of trigger entries indexed by a fixed-size
-// open-addressed map (the GHB slot-ring idiom — the post-construction
-// hot path is map-free and allocation-free). Each entry keeps a bounded
+// prefetcher: a FIFO ring of trigger entries indexed by an open-addressed
+// map (the GHB slot-ring idiom — the ring's arrays and its index grow
+// with use up to the configured entry count, and once the ring is full
+// the hot path is map-free and allocation-free). Each entry keeps a bounded
 // list of successor lines with saturating popularity counts in
 // insertion order; inserting into a full list first halves every count
 // (aging) and then evicts the weakest survivor (lowest count, earliest
@@ -201,14 +202,7 @@ func NewChainTable(cfg ChainTableConfig) (*ChainTable, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &ChainTable{
-		cfg:    cfg,
-		tags:   make([]amo.Line, cfg.Entries),
-		lens:   make([]uint16, cfg.Entries),
-		lines:  make([]amo.Line, cfg.Entries*cfg.Successors),
-		counts: make([]uint8, cfg.Entries*cfg.Successors),
-		idx:    newOAMap(cfg.Entries),
-	}, nil
+	return &ChainTable{cfg: cfg, idx: newOAMap()}, nil
 }
 
 // Config returns the table's geometry.
@@ -239,7 +233,7 @@ func (t *ChainTable) slot(trigger amo.Line, alloc bool) int32 {
 	var s int32
 	if t.n < t.cfg.Entries {
 		s = int32(t.n)
-		t.n++
+		t.grow()
 	} else {
 		s = int32(t.pos)
 		t.idx.del(uint64(t.tags[s]))
@@ -249,6 +243,17 @@ func (t *ChainTable) slot(trigger amo.Line, alloc bool) int32 {
 	t.lens[s] = 0
 	t.idx.put(uint64(trigger), s)
 	return s
+}
+
+// grow hands out the next slot while the ring is still filling,
+// extending every per-slot array to cover it.
+func (t *ChainTable) grow() {
+	t.n++
+	n, c, k := t.n, t.cfg.Entries, t.cfg.Successors
+	t.tags = extend(t.tags, n, c)
+	t.lens = extend(t.lens, n, c)
+	t.lines = extend(t.lines, n*k, c*k)
+	t.counts = extend(t.counts, n*k, c*k)
 }
 
 // Update records succ as a successor of trigger: a present successor's

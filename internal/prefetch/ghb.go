@@ -32,9 +32,11 @@ import (
 // on working sets that GHB large (256K entries each, ~4MB) captures.
 //
 // Both tables are slot rings: entry state lives in flat arrays indexed by
-// FIFO position (eviction overwrites in place), and a fixed-size
-// open-addressed index maps keys to slots. The miss-stream hot path
-// therefore runs map-free and allocation-free after construction.
+// FIFO position (eviction overwrites in place), and an open-addressed
+// index maps keys to slots. The arrays and the index grow with use up to
+// the architected capacity, so a short run pays only for the entries it
+// touches; once a ring is full the miss-stream hot path runs map-free
+// and allocation-free.
 type GHB struct {
 	label    string
 	degree   int
@@ -79,22 +81,13 @@ func NewGHB(label string, indexEntries, bufferEntries, degree int) (*GHB, error)
 		return nil, ebcperr.Invalidf("prefetch: invalid GHB shape (index %d, buffer %d, degree %d)", indexEntries, bufferEntries, degree)
 	}
 	return &GHB{
-		label:     label,
-		degree:    degree,
-		depth:     degree,
-		capacity:  bufferEntries,
-		idxSize:   indexEntries,
-		tabKeys:   make([]uint64, bufferEntries),
-		tabLens:   make([]uint16, bufferEntries),
-		tabDeltas: make([]int64, bufferEntries*degree),
-		tabIdx:    newOAMap(bufferEntries),
-		pcKeys:    make([]uint64, indexEntries),
-		pcLast0:   make([]amo.Line, indexEntries),
-		pcLast1:   make([]amo.Line, indexEntries),
-		pcHave:    make([]uint8, indexEntries),
-		pcRecLen:  make([]uint16, indexEntries),
-		pcRecent:  make([]uint64, indexEntries*degree),
-		pcIdx:     newOAMap(indexEntries),
+		label:    label,
+		degree:   degree,
+		depth:    degree,
+		capacity: bufferEntries,
+		idxSize:  indexEntries,
+		tabIdx:   newOAMap(),
+		pcIdx:    newOAMap(),
 	}, nil
 }
 
@@ -116,27 +109,44 @@ func ghbKey(pc amo.PC, d1, d2 int64) uint64 {
 	return h ^ (h >> 31)
 }
 
-// oaMap is a fixed-size open-addressed hash map (linear probing,
-// backward-shift deletion) from uint64 keys to slot numbers. It is sized
-// to twice its owner's entry bound, so the load factor never exceeds 1/2
-// and it never grows. vals[i] < 0 marks an empty probe slot, which lets
-// keys take any uint64 value.
+// oaMap is an open-addressed hash map (linear probing, backward-shift
+// deletion) from uint64 keys to slot numbers. It starts at oaMinSize
+// probe slots and doubles before a put would pass half load. Its owner
+// holds at most one key per ring slot, so for a ring of E slots the map
+// never outgrows the smallest power of two, at least oaMinSize, covering
+// 2E. vals[i] < 0 marks an empty probe slot, which lets keys take any
+// uint64 value.
 type oaMap struct {
 	mask uint64
 	keys []uint64
 	vals []int32
+	n    int // live keys
 }
 
-func newOAMap(entries int) oaMap {
-	n := 16
-	for n < 2*entries {
-		n *= 2
-	}
-	m := oaMap{mask: uint64(n - 1), keys: make([]uint64, n), vals: make([]int32, n)}
+// oaMinSize is the probe-slot count every oaMap starts at.
+const oaMinSize = 16
+
+// newOAMap builds an empty map.
+func newOAMap() oaMap {
+	var m oaMap
+	m.resize(oaMinSize)
+	return m
+}
+
+// resize rehashes the map into n (a power of two) empty probe slots.
+func (m *oaMap) resize(n int) {
+	keys, vals := m.keys, m.vals
+	m.mask = uint64(n - 1)
+	m.keys = make([]uint64, n)
+	m.vals = make([]int32, n)
 	for i := range m.vals {
 		m.vals[i] = -1
 	}
-	return m
+	for i, v := range vals {
+		if v >= 0 {
+			m.insert(keys[i], v)
+		}
+	}
 }
 
 //ebcp:hotpath
@@ -155,10 +165,22 @@ func (m *oaMap) get(key uint64) (int32, bool) {
 	return 0, false
 }
 
-// put inserts key (which must not be present) with the given slot value.
+// put inserts key (which must not be present) with the given slot
+// value, doubling the map first if the insert would pass half load.
 //
 //ebcp:hotpath
 func (m *oaMap) put(key uint64, v int32) {
+	if 2*(m.n+1) > len(m.keys) {
+		m.resize(2 * len(m.keys))
+	}
+	m.insert(key, v)
+	m.n++
+}
+
+// insert places key in the first free probe slot of its chain.
+//
+//ebcp:hotpath
+func (m *oaMap) insert(key uint64, v int32) {
 	i := oaHash(key) & m.mask
 	for m.vals[i] >= 0 {
 		i = (i + 1) & m.mask
@@ -181,6 +203,7 @@ func (m *oaMap) del(key uint64) {
 		}
 		i = (i + 1) & m.mask
 	}
+	m.n--
 	j := i
 	for {
 		j = (j + 1) & m.mask
@@ -216,7 +239,7 @@ func (g *GHB) pcSlot(key amo.PC) int32 {
 	var s int32
 	if g.pcN < g.idxSize {
 		s = int32(g.pcN)
-		g.pcN++
+		g.growPC()
 	} else {
 		s = int32(g.pcPos)
 		g.pcIdx.del(g.pcKeys[s])
@@ -229,6 +252,41 @@ func (g *GHB) pcSlot(key amo.PC) int32 {
 	return s
 }
 
+// growPC hands out the next index-table slot while the ring is still
+// filling, extending every per-slot array to cover it.
+func (g *GHB) growPC() {
+	g.pcN++
+	n, c := g.pcN, g.idxSize
+	g.pcKeys = extend(g.pcKeys, n, c)
+	g.pcLast0 = extend(g.pcLast0, n, c)
+	g.pcLast1 = extend(g.pcLast1, n, c)
+	g.pcHave = extend(g.pcHave, n, c)
+	g.pcRecLen = extend(g.pcRecLen, n, c)
+	g.pcRecent = extend(g.pcRecent, n*g.depth, c*g.depth)
+}
+
+// growTab hands out the next continuation-table slot while the ring is
+// still filling, extending every per-slot array to cover it.
+func (g *GHB) growTab() {
+	g.tabN++
+	n, c := g.tabN, g.capacity
+	g.tabKeys = extend(g.tabKeys, n, c)
+	g.tabLens = extend(g.tabLens, n, c)
+	g.tabDeltas = extend(g.tabDeltas, n*g.depth, c*g.depth)
+}
+
+// extend returns s lengthened to n elements (n <= limit). When the
+// backing array runs out it doubles, but never past limit elements, the
+// table's architected size; elements past the old length are zero.
+func extend[T any](s []T, n, limit int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	t := make([]T, n, min(max(2*cap(s), n, 64), limit))
+	copy(t, s)
+	return t
+}
+
 // newTabSlot allocates a continuation-table slot for key (which must not
 // be present), evicting FIFO when the ring is full.
 //
@@ -237,7 +295,7 @@ func (g *GHB) newTabSlot(key uint64) int32 {
 	var s int32
 	if g.tabN < g.capacity {
 		s = int32(g.tabN)
-		g.tabN++
+		g.growTab()
 	} else {
 		s = int32(g.tabPos)
 		g.tabIdx.del(g.tabKeys[s])

@@ -3,6 +3,8 @@ package registry
 import (
 	"encoding/json"
 	"errors"
+	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -45,6 +47,40 @@ func TestBuiltinPrefetchersBuild(t *testing.T) {
 		}
 		if pf == nil {
 			t.Errorf("building %q returned a nil prefetcher", name)
+		}
+	}
+}
+
+// TestLargeTableConstructionFootprint locks what building the
+// large-table contenders costs before their first access: their tables
+// grow with use, so a cell pays for the entries it touches, not the
+// architected budget (4MB-class for GHB large). Bytes are counted with
+// TotalAlloc, the least of three builds, so the check needs no timing.
+func TestLargeTableConstructionFootprint(t *testing.T) {
+	const budget = 64 << 10
+	cases := map[string]string{
+		"ghb-large": `{"degree": 6}`,
+		"ghb-small": `{"degree": 6}`,
+		"chain":     ``,
+	}
+	for name, params := range cases {
+		e, err := Prefetcher(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := e.New(json.RawMessage(params), 0)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("building %q: %v", name, err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > budget {
+			t.Errorf("building %q allocated %d bytes, want at most %d", name, least, budget)
 		}
 	}
 }

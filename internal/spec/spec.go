@@ -40,6 +40,16 @@ const SchemaV1 = "ebcp.spec/v1"
 // key without the placeholder would collide across benchmarks.
 const BenchPlaceholder = "{bench}"
 
+// Upper bounds on the per-cell shape knobs, so one accepted spec cannot
+// ask a session (or ebcpd) for an unbounded number of CMP lanes or an
+// unbounded prefetch buffer. MaxCores is the widest lane count the CMP
+// golden digests pin; MaxPBEntries is 64× the committed specs' largest
+// buffer.
+const (
+	MaxCores     = 64
+	MaxPBEntries = 65536
+)
+
 // SpecV1 is one declarative experiment.
 type SpecV1 struct {
 	Schema string `json:"schema"`
@@ -291,16 +301,16 @@ func (sp SpecV1) validateCells() error {
 				return ebcperr.Invalidf("spec %q: cell %q sets cores in a sim-kind spec", sp.ID, name)
 			}
 		case "cmp":
-			if c.Cores < 1 {
-				return ebcperr.Invalidf("spec %q: cell %q needs cores >= 1 in a cmp-kind spec", sp.ID, name)
+			if c.Cores < 1 || c.Cores > MaxCores {
+				return ebcperr.Invalidf("spec %q: cell %q needs cores >= 1 and <= %d in a cmp-kind spec", sp.ID, name, MaxCores)
 			}
 			if c.Sim != nil {
 				return ebcperr.Invalidf("spec %q: cell %q: sim tweaks are not supported for cmp cells", sp.ID, name)
 			}
 		}
 		if c.Sim != nil {
-			if c.Sim.PBEntries < 0 || c.Sim.ReadGBps < 0 || c.Sim.WriteGBps < 0 {
-				return ebcperr.Invalidf("spec %q: cell %q sim tweaks must be non-negative", sp.ID, name)
+			if c.Sim.PBEntries < 0 || c.Sim.PBEntries > MaxPBEntries || c.Sim.ReadGBps < 0 || c.Sim.WriteGBps < 0 {
+				return ebcperr.Invalidf("spec %q: cell %q sim tweaks must be non-negative, with pb_entries <= %d", sp.ID, name, MaxPBEntries)
 			}
 		}
 	}

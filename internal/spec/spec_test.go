@@ -176,6 +176,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"negative sim tweak", func(d map[string]any) {
 			cell(d, "d1")["sim"] = map[string]any{"pb_entries": -4.0}
 		}, "non-negative"},
+		{"prefetch buffer above limit", func(d map[string]any) {
+			cell(d, "d1")["sim"] = map[string]any{"pb_entries": float64(MaxPBEntries + 1)}
+		}, "pb_entries <= 65536"},
 		{"no rows", func(d map[string]any) { d["rows"] = []any{} }, "row group"},
 		{"explicit columns need per_benchmark", func(d map[string]any) {
 			d["rows"].([]any)[0].(map[string]any)["per_benchmark"] = false
@@ -214,6 +217,9 @@ func TestDecodeRejectsCMPShapes(t *testing.T) {
 		{"missing cores", func(d map[string]any) {
 			delete(d["cells"].(map[string]any)["ebcp"].(map[string]any), "cores")
 		}, "cores >= 1"},
+		{"cores above limit", func(d map[string]any) {
+			d["cells"].(map[string]any)["ebcp"].(map[string]any)["cores"] = float64(MaxCores + 1)
+		}, "cores >= 1 and <= 64"},
 		{"sim tweaks on cmp cell", func(d map[string]any) {
 			d["cells"].(map[string]any)["ebcp"].(map[string]any)["sim"] = map[string]any{"pb_entries": 16.0}
 		}, "not supported"},
